@@ -469,9 +469,9 @@ func BenchmarkServeScaling(b *testing.B) {
 	}
 }
 
-// Planner micro-benchmarks: the optimized searches and the retained
-// reference planner run on the same frozen mid-run state (profiled
-// kinds, frontier one third in — see core.PlannerBench), so the
+// Planner micro-benchmarks: the optimized searches on a frozen mid-run
+// state (profiled kinds, frontier one third in — see core.PlannerBench).
+// Their reference-planner twins live in internal/core, so the
 // optimized/Ref ratio is the planner optimization's honest speedup.
 func plannerBench(b *testing.B) *core.PlannerBench {
 	b.Helper()
@@ -515,29 +515,5 @@ func BenchmarkPlannerReplan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pb.Replan()
-	}
-}
-
-func BenchmarkPlannerGlobalRef(b *testing.B) {
-	pb := plannerBench(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pb.RefGlobal()
-	}
-}
-
-func BenchmarkPlannerLocalRef(b *testing.B) {
-	pb := plannerBench(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pb.RefLocal()
-	}
-}
-
-func BenchmarkPlannerReplanRef(b *testing.B) {
-	pb := plannerBench(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pb.RefReplan()
 	}
 }

@@ -4,6 +4,7 @@ package cliutil
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -13,8 +14,10 @@ import (
 // ParseNVM builds an NVM device spec from the CLI syntax:
 //
 //	bw:<frac>   DRAM throttled to the fraction's bandwidth (0 < frac <= 1)
-//	lat:<mult>  DRAM latency scaled by the multiplier (>= 1)
+//	lat:<mult>  DRAM latency scaled by the finite multiplier (>= 1)
 //	optane | pcram | sttram | reram
+//
+// The range checks are written so that NaN fails them.
 func ParseNVM(s string) (mem.DeviceSpec, error) {
 	switch s {
 	case "optane":
@@ -28,14 +31,14 @@ func ParseNVM(s string) (mem.DeviceSpec, error) {
 	}
 	if v, ok := strings.CutPrefix(s, "bw:"); ok {
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f <= 0 || f > 1 {
+		if err != nil || !(f > 0 && f <= 1) {
 			return mem.DeviceSpec{}, fmt.Errorf("bad bandwidth fraction %q", v)
 		}
 		return mem.NVMBandwidth(f), nil
 	}
 	if v, ok := strings.CutPrefix(s, "lat:"); ok {
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 1 {
+		if err != nil || !(f >= 1 && f <= math.MaxFloat64) {
 			return mem.DeviceSpec{}, fmt.Errorf("bad latency multiplier %q", v)
 		}
 		return mem.NVMLatency(f), nil

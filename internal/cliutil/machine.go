@@ -3,6 +3,7 @@ package cliutil
 import (
 	"flag"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -95,17 +96,6 @@ func ParseFaults(s string) (*fault.Schedule, error) { return fault.ParseSpec(s) 
 // "none" = no schedule).
 func ParseClusterFaults(s string) (*fault.ClusterSchedule, error) { return fault.ParseClusterSpec(s) }
 
-// ParseSampling overlays the shared -sampling spec onto a profiler
-// configuration: a comma-separated list of
-//
-//	interval=<N>  sampling interval in accesses per sample
-//	jitter=<F>    relative noise magnitude at one expected sample
-//	seed=<N>      noise stream seed
-//	window=<N>    profiling window in executions per kind
-//	adaptive      enable margin-driven adaptive sampling
-//
-// "" returns cfg unchanged, so callers can pass the flag through
-// unconditionally.
 // ParseFeedback overlays the shared -feedback spec onto a feedback
 // configuration: "on" alone enables the loop with defaults, or a
 // comma-separated list of
@@ -117,7 +107,8 @@ func ParseClusterFaults(s string) (*fault.ClusterSchedule, error) { return fault
 //	budget=<N>       feedback-triggered replans allowed per run
 //
 // Any non-empty spec enables the loop. "" returns cfg unchanged, so
-// callers can pass the flag through unconditionally.
+// callers can pass the flag through unconditionally. Values must be
+// finite; the range checks are written so that NaN fails them.
 func ParseFeedback(s string, cfg feedback.Config) (feedback.Config, error) {
 	if s == "" {
 		return cfg, nil
@@ -135,19 +126,19 @@ func ParseFeedback(s string, cfg feedback.Config) (feedback.Config, error) {
 		switch k {
 		case "alpha":
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f <= 0 || f > 1 {
+			if err != nil || !(f > 0 && f <= 1) {
 				return cfg, fmt.Errorf("bad feedback alpha %q", v)
 			}
 			cfg.Alpha = f
 		case "deadband":
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 {
+			if err != nil || !(f >= 0 && f <= math.MaxFloat64) {
 				return cfg, fmt.Errorf("bad feedback deadband %q", v)
 			}
 			cfg.Deadband = f
 		case "threshold":
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 {
+			if err != nil || !(f >= 0 && f <= math.MaxFloat64) {
 				return cfg, fmt.Errorf("bad feedback threshold %q", v)
 			}
 			cfg.ReplanThreshold = f
@@ -164,6 +155,17 @@ func ParseFeedback(s string, cfg feedback.Config) (feedback.Config, error) {
 	return cfg, nil
 }
 
+// ParseSampling overlays the shared -sampling spec onto a profiler
+// configuration: a comma-separated list of
+//
+//	interval=<N>  sampling interval in accesses per sample
+//	jitter=<F>    finite relative noise magnitude at one expected sample
+//	seed=<N>      noise stream seed
+//	window=<N>    profiling window in executions per kind
+//	adaptive      enable margin-driven adaptive sampling
+//
+// "" returns cfg unchanged, so callers can pass the flag through
+// unconditionally.
 func ParseSampling(s string, cfg prof.Config) (prof.Config, error) {
 	if s == "" {
 		return cfg, nil
@@ -190,7 +192,7 @@ func ParseSampling(s string, cfg prof.Config) (prof.Config, error) {
 			cfg.SamplingInterval = n
 		case "jitter":
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 {
+			if err != nil || !(f >= 0 && f <= math.MaxFloat64) {
 				return cfg, fmt.Errorf("bad sampling jitter %q", v)
 			}
 			cfg.Jitter = f

@@ -131,7 +131,7 @@ func TestParseSampling(t *testing.T) {
 	if got, err := ParseSampling("", base); err != nil || got != base {
 		t.Fatalf("empty spec must be a no-op: %+v, %v", got, err)
 	}
-	for _, bad := range []string{"interval=0", "jitter=-1", "window=x", "bogus=1", "adaptive=maybe"} {
+	for _, bad := range []string{"interval=0", "jitter=-1", "window=x", "bogus=1", "adaptive=maybe", "jitter=NaN", "jitter=Inf"} {
 		if _, err := ParseSampling(bad, base); err == nil {
 			t.Errorf("bad spec %q accepted", bad)
 		}
@@ -159,7 +159,8 @@ func TestParseFeedback(t *testing.T) {
 	if got, err := ParseFeedback("", base); err != nil || got != base {
 		t.Fatalf("empty spec must be a no-op: %+v, %v", got, err)
 	}
-	for _, bad := range []string{"alpha=0", "alpha=2", "deadband=-1", "threshold=x", "budget=lots", "bogus=1", "off"} {
+	for _, bad := range []string{"alpha=0", "alpha=2", "deadband=-1", "threshold=x", "budget=lots", "bogus=1", "off",
+		"alpha=NaN", "deadband=NaN", "deadband=Inf", "threshold=NaN", "threshold=Inf"} {
 		if _, err := ParseFeedback(bad, base); err == nil {
 			t.Errorf("bad spec %q accepted", bad)
 		}

@@ -65,26 +65,16 @@ func boostInterval(ivl int64, err, tol float64) int64 {
 	return target
 }
 
-// adaptMaxRounds caps how many boost rounds (pre-plan veto included) a
-// run may trigger: each round reopens kinds and forces a replan, and
-// rounds past the first couple correct ever-smaller residuals at full
-// replan cost.
+// adaptMaxRounds is the adaptive replan budget: how many boost rounds
+// (pre-plan veto included) a run may be granted. Each round reopens
+// kinds and requests a replan, and rounds past the first couple correct
+// ever-smaller residuals at full replan cost.
 const adaptMaxRounds = 2
-
-// adaptPrecheck is the pre-plan gate: called when the first plan is
-// about to commit, it runs the sensitivity query against the would-be
-// knapsack and, if any kind's noise could flip a placement, densifies
-// those kinds and reports true — the caller then defers the plan until
-// the boosted re-profile lands, so the *first* plan is already made from
-// estimates tight enough to trust. Harmful migrations never enqueue.
-func (r *runner) adaptPrecheck() bool {
-	return r.adaptSampling() > 0
-}
 
 // adaptSampling runs one controller round (see the package comment
 // above) and returns how many kinds it densified.
 func (r *runner) adaptSampling() (boosted int) {
-	if !r.cfg.Prof.Adaptive || r.pt == nil || r.replans >= maxReplans || r.adaptRounds >= adaptMaxRounds {
+	if !r.cfg.Prof.Adaptive || r.pt == nil || !r.replanGrantable(replanAdaptive) {
 		return 0
 	}
 	// Noise-free profiles have zero relative error everywhere: no boost
@@ -110,31 +100,10 @@ func (r *runner) adaptSampling() (boosted int) {
 
 	p.refreshTotals(r)
 
-	// Rebuild the global knapsack's item list exactly as computeGlobalPlan
-	// does, so the embedded Solve call is a memo lookup for Tahoe's global
-	// plan rather than a fresh DP run.
-	items := r.adaptItems[:0]
-	for _, o := range r.g.Objects {
-		benefit := p.totals[o.ID]
-		if benefit == 0 {
-			continue
-		}
-		refs := r.st.Refs(o.ID)
-		per := benefit / float64(len(refs))
-		base := r.st.ChunkBase(o.ID)
-		for i, ref := range refs {
-			size := p.chunkSize[base+i]
-			cost := 0.0
-			if r.st.Tier(ref) != r.fastTier {
-				firstUse := task.TaskID(len(r.g.Tasks))
-				if nu, ok := r.g.NextUser(o.ID, r.frontier()-1); ok {
-					firstUse = nu
-				}
-				cost = r.params.MigrationCost(size, r.overlapSec(r.frontier()-1, firstUse))
-			}
-			items = append(items, placement.Item{Ref: ref, Size: size, Weight: per - cost})
-		}
-	}
+	// The global knapsack's item list, built by the same code as
+	// computeGlobalPlan's, so the embedded Solve call is a memo lookup for
+	// Tahoe's global plan rather than a fresh DP run.
+	items := r.globalItems(r.adaptItems[:0])
 	r.adaptItems = items
 	if len(items) == 0 {
 		return 0
@@ -207,7 +176,7 @@ func (r *runner) adaptSampling() (boosted int) {
 		}
 	}
 	if boosted > 0 {
-		r.adaptRounds++
+		r.requestReplan(replanAdaptive)
 	}
 	return boosted
 }

@@ -7,28 +7,21 @@ import (
 	"repro/internal/task"
 )
 
-// The feedback loop (internal/feedback) is the third — and cheapest —
-// of the runtime's three drift responses, and the only one that can see
-// calibration error:
-//
-//   - prof's count-level audit (complete()'s Record path): periodic
-//     audit samples whose counts disagree with the stored profile
-//     re-open the kind — the profile itself is wrong, so it is
-//     discarded and re-learned.
-//   - prof's duration drift detector (checkDrift / prof.DriftFactor):
-//     a sustained residue beyond what placement and contention explain
-//     also re-opens the kind.
-//   - feedback (this file): the observed-vs-predicted estimator keeps
-//     the profile and instead rescales what the planner derives from it
-//     — correcting errors re-profiling cannot fix, because a wrong
-//     constant factor or a misinferred MLP reproduces the same wrong
-//     prediction from a fresh profile.
+// The feedback loop (internal/feedback) is the only drift response that
+// can see calibration error. The profile-drift detectors (complete()'s
+// count-level audit and checkDrift's duration residue) discard a kind's
+// profile and re-learn it; the observed-vs-predicted estimator keeps
+// the profile and instead rescales what the planner derives from it —
+// correcting errors re-profiling cannot fix, because a wrong constant
+// factor or a misinferred MLP reproduces the same wrong prediction from
+// a fresh profile. All of them ask for the replan through
+// requestReplan.
 //
 // Observation piggybacks on the completion hook the profiler already
 // uses and charges no modeled overhead; corrections enter the planner
-// through benefitPerExec/benefitPerExecTo — the single choke point both
-// the incremental planner, the reference planner (plan_ref.go) and the
-// N-tier planner funnel through — so the planAudit bit-identity
+// through benefitPerExec/benefitPerExecTo — the single choke point the
+// incremental planner, the reference planner (plan_ref_test.go) and
+// the N-tier planner all funnel through — so the planAudit bit-identity
 // contract holds with corrections active. An effective-factor change
 // invalidates the kind through the same pt.invalidateKind hooks the
 // profiler's Record path uses, keeping replans O(Δ).
@@ -46,19 +39,11 @@ func (r *runner) observeFeedback(t *task.Task, ki int, d model.Demand) {
 	trip := false
 	nt := r.st.NumTiers()
 	for i, a := range t.Accesses {
-		// Dedup repeat accesses quadratically over the short access list
-		// (same idiom as advanceCursors): observed ObjSecOf aggregates all
-		// of an object's entries, so predict them together — each entry
-		// with its own stream MLP, all with the pair's profiled per-entry
-		// count estimate.
-		dup := false
-		for _, b := range t.Accesses[:i] {
-			if b.Obj == a.Obj {
-				dup = true
-				break
-			}
-		}
-		if dup {
+		// Observed ObjSecOf aggregates all of an object's entries, so
+		// predict them together at its first entry — each entry with its
+		// own stream MLP, all with the pair's profiled per-entry count
+		// estimate.
+		if !firstTouch(t, i) {
 			continue
 		}
 		est, ok := r.profiler.EstimateFor(t.Kind, a.Obj, r.g.Object(a.Obj).Size)
@@ -86,12 +71,10 @@ func (r *runner) observeFeedback(t *task.Task, ki int, d model.Demand) {
 		// The kind's cached benefits were computed under the old factors.
 		r.pt.invalidateKindName(t.Kind)
 	}
-	// A factor moving past the threshold requests one replan, against the
-	// feedback budget — separate from maxReplans, which still bounds the
-	// total. maybePlan's cooldown applies as usual.
-	if trip && !r.needReplan && r.fbReplans < r.fbCfg.ReplanBudget {
-		r.fbReplans++
-		r.needReplan = true
+	// A factor moving past the threshold requests one replan, charged to
+	// the feedback budget.
+	if trip {
+		r.requestReplan(replanFeedback)
 	}
 }
 

@@ -28,11 +28,11 @@ import (
 //
 // Correctness contract: every plan must be bit-identical (plan kind,
 // target membership, Float64bits of predicted and solverSec) to the
-// retained reference planner in plan_ref.go. That forbids shortcuts like
-// maintaining float sums by subtraction — instead, a dirty object's
-// total is re-folded from its per-object use table in exactly the
-// reference's addition order. plan_equiv_test.go enforces the contract
-// over randomized runs; see DESIGN.md "Planner internals".
+// retained reference planner in plan_ref_test.go. That forbids
+// shortcuts like maintaining float sums by subtraction — instead, a
+// dirty object's total is re-folded from its per-object use table in
+// exactly the reference's addition order. plan_equiv_test.go enforces
+// the contract over randomized runs; see DESIGN.md "Planner internals".
 
 // planSet is a set of chunks targeted for DRAM residency: a dense bitset
 // over heap.State's global chunk index. nil means "no target".
@@ -138,11 +138,6 @@ type planResult struct {
 	// local search memoize: distinct patterns pay the full DP, repeats
 	// pay a lookup.
 	solverSec float64
-}
-
-type benefitKey struct {
-	kind string
-	obj  task.ObjectID
 }
 
 // objUse is one access entry to an object: the task and its kind index.
@@ -456,30 +451,7 @@ func (r *runner) usesAhead(obj task.ObjectID, from, horizon task.TaskID) int {
 func (r *runner) computeGlobalPlan(future []*task.Task) planResult {
 	p := r.pt
 	p.refreshTotals(r)
-	items := p.items[:0]
-	for _, o := range r.g.Objects {
-		benefit := p.totals[o.ID]
-		if benefit == 0 {
-			continue
-		}
-		refs := r.st.Refs(o.ID)
-		per := benefit / float64(len(refs))
-		base := r.st.ChunkBase(o.ID)
-		for i, ref := range refs {
-			size := p.chunkSize[base+i]
-			cost := 0.0
-			if r.st.Tier(ref) != r.fastTier {
-				// The promotion is enqueued at plan time; the first future
-				// user bounds the hiding window.
-				firstUse := task.TaskID(len(r.g.Tasks))
-				if nu, ok := r.g.NextUser(o.ID, r.frontier()-1); ok {
-					firstUse = nu
-				}
-				cost = r.params.MigrationCost(size, r.overlapSec(r.frontier()-1, firstUse))
-			}
-			items = append(items, placement.Item{Ref: ref, Size: size, Weight: per - cost})
-		}
-	}
+	items := r.globalItems(p.items[:0])
 	p.items = items
 	chosen := p.solver.Solve(items, r.cfg.HMS.DRAMCapacity, placement.DefaultGranularity)
 	target := p.globalBuf
@@ -506,6 +478,38 @@ func (r *runner) computeGlobalPlan(future []*task.Task) planResult {
 	}
 	return planResult{kind: "global", global: target, predicted: predicted,
 		solverSec: float64(len(items)) * solverItemSec}
+}
+
+// globalItems appends the global knapsack's items to items: every chunk
+// of every object with a nonzero refreshed total, weighing the object's
+// remaining benefit split over its chunks minus a one-time migration
+// cost for chunks not yet on the fastest tier.
+func (r *runner) globalItems(items []placement.Item) []placement.Item {
+	p := r.pt
+	for _, o := range r.g.Objects {
+		benefit := p.totals[o.ID]
+		if benefit == 0 {
+			continue
+		}
+		refs := r.st.Refs(o.ID)
+		per := benefit / float64(len(refs))
+		base := r.st.ChunkBase(o.ID)
+		for i, ref := range refs {
+			size := p.chunkSize[base+i]
+			cost := 0.0
+			if r.st.Tier(ref) != r.fastTier {
+				// The promotion is enqueued at plan time; the first future
+				// user bounds the hiding window.
+				firstUse := task.TaskID(len(r.g.Tasks))
+				if nu, ok := r.g.NextUser(o.ID, r.frontier()-1); ok {
+					firstUse = nu
+				}
+				cost = r.params.MigrationCost(size, r.overlapSec(r.frontier()-1, firstUse))
+			}
+			items = append(items, placement.Item{Ref: ref, Size: size, Weight: per - cost})
+		}
+	}
+	return items
 }
 
 // insertionSortObjs sorts a small object-ID slice in place.
@@ -726,7 +730,7 @@ func (r *runner) computeLevelPlan(future []*task.Task) planResult {
 			continue
 		}
 		// Aggregate benefit per object over the level's tasks, visited in
-		// ascending object order (see plan_ref.go on determinism).
+		// ascending object order (see plan_ref_test.go on determinism).
 		objs := make([]task.ObjectID, 0, 8)
 		for _, t := range tasks {
 			k := p.kindOf[t.ID]

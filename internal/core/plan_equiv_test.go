@@ -13,7 +13,7 @@ import (
 // This file enforces the optimized planner's correctness contract (see
 // plan.go): every plan computed during a run must be bit-identical —
 // plan kind, target-set membership, Float64bits of predicted and
-// solverSec — to the retained reference planner in plan_ref.go. The
+// solverSec — to the retained reference planner in plan_ref_test.go. The
 // planAudit hook hands us every freshly computed plan together with the
 // future list it was computed from; we recompute it with the reference
 // on the same runner state and compare exactly.

@@ -166,7 +166,7 @@ func (r *runner) enforceTierPlan() {
 			if r.st.TierAt(ix) == to || r.mig.Busy(ref) || r.promoBlock[ix] {
 				continue
 			}
-			r.tryPromoteTo(ref, to, r.plan.global, -1)
+			r.tryPromote(ref, to, r.plan.global, -1)
 		}
 	}
 }

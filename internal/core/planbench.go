@@ -4,16 +4,15 @@ import (
 	"fmt"
 
 	"repro/internal/model"
-	"repro/internal/prof"
 	"repro/internal/task"
 )
 
 // PlannerBench freezes a mid-run planner state so benchmarks and tests
 // can drive the placement searches directly, outside the event loop: a
 // runner whose profiler has seen every (kind, object) pair and whose
-// first third of tasks is bookkeeping-started. It exposes the optimized
-// planning path and the retained reference path (plan_ref.go) on the
-// same state, so their ratio is the optimization's honest speedup.
+// first third of tasks is bookkeeping-started. The tests add the
+// retained reference planner's twins (plan_ref_test.go) on the same
+// state, so their ratio is the optimization's honest speedup.
 type PlannerBench struct {
 	r        *runner
 	nextKind int32
@@ -39,72 +38,14 @@ func NewPlannerBench(g *task.Graph, cfg Config) (*PlannerBench, error) {
 	// Feed the profiler one observation per task, exactly as complete()
 	// would, so every pair has an estimate and every kind a mean.
 	for _, t := range g.Tasks {
-		pb.record(t)
+		d := model.TaskDemand(t, r.machineHMS(), r.dramFrac)
+		r.recordProfile(t, d.TotalSec(), d)
 	}
 	// Advance the frontier past the first third of the graph.
 	for _, t := range g.Tasks[:len(g.Tasks)/3] {
-		pb.startTask(t)
+		r.markStarted(t)
 	}
 	return pb, nil
-}
-
-// record mirrors the profiling half of runner.complete: one Exec with
-// per-object time shares from the demand model, then the planner cache
-// invalidation that every Record triggers.
-func (pb *PlannerBench) record(t *task.Task) {
-	r := pb.r
-	d := model.TaskDemand(t, r.machineHMS(), r.dramFrac)
-	dur := d.TotalSec()
-	obs := make([]prof.AccessObs, 0, len(t.Accesses))
-	for _, a := range t.Accesses {
-		share := 0.0
-		if dur > 0 {
-			share = d.ObjSecOf(a.Obj) / dur
-		}
-		obs = append(obs, prof.AccessObs{
-			Obj: a.Obj, Loads: a.Loads, Stores: a.Stores,
-			Size: r.g.Object(a.Obj).Size, TimeShare: share,
-		})
-		ix := r.pairIx(r.g.KindIndex(t.ID), a.Obj)
-		if !r.pairSeen[ix] {
-			r.pairSeen[ix] = true
-			if r.pairRemaining[ix] > 0 {
-				r.pairsNeeded--
-			}
-		}
-	}
-	r.profiler.Record(prof.Exec{TaskID: t.ID, Kind: t.Kind, Duration: dur, Obs: obs})
-	r.pt.invalidateKind(r.pt.kindOf[t.ID])
-}
-
-// startTask mirrors the planner-relevant bookkeeping of runner.start.
-func (pb *PlannerBench) startTask(t *task.Task) {
-	r := pb.r
-	r.started[t.ID] = true
-	ki := r.g.KindIndex(t.ID)
-	r.kindRemaining[ki]--
-	for _, a := range t.Accesses {
-		ix := r.pairIx(ki, a.Obj)
-		r.pairRemaining[ix]--
-		if r.pairRemaining[ix] == 0 && !r.pairSeen[ix] {
-			r.pairsNeeded--
-		}
-	}
-	r.pt.taskStarted(t)
-}
-
-// future rebuilds the unstarted-task list the way decidePlacement does;
-// both paths share it so its (small) cost is charged to both.
-func (pb *PlannerBench) future() []*task.Task {
-	r := pb.r
-	f := r.pt.future[:0]
-	for _, t := range r.g.Tasks {
-		if !r.started[t.ID] {
-			f = append(f, t)
-		}
-	}
-	r.pt.future = f
-	return f
 }
 
 // perturb invalidates one kind's cached estimates, round-robin — the
@@ -117,49 +58,19 @@ func (pb *PlannerBench) perturb() {
 
 // Global runs the optimized global search once.
 func (pb *PlannerBench) Global() float64 {
-	return pb.r.computeGlobalPlan(pb.future()).predicted
+	return pb.r.computeGlobalPlan(pb.r.futureTasks()).predicted
 }
 
 // Local runs the optimized local search once.
 func (pb *PlannerBench) Local() float64 {
-	return pb.r.computeLocalPlan(pb.future()).predicted
+	return pb.r.computeLocalPlan(pb.r.futureTasks()).predicted
 }
 
 // Replan models one workload-variation replan: a kind's estimates went
-// stale, and the runtime recomputes both searches and takes the winner.
+// stale, and the runtime reruns the two-tier searches and takes the
+// winner.
 func (pb *PlannerBench) Replan() float64 {
 	pb.perturb()
-	f := pb.future()
-	g := pb.r.computeGlobalPlan(f)
-	l := pb.r.computeLocalPlan(f)
-	if l.predicted < g.predicted {
-		return l.predicted
-	}
-	return g.predicted
-}
-
-// RefGlobal, RefLocal and RefReplan are the reference-planner twins.
-func (pb *PlannerBench) RefGlobal() float64 {
-	return pb.r.refComputeGlobalPlan(pb.future()).predicted
-}
-
-func (pb *PlannerBench) RefLocal() float64 {
-	return pb.r.refComputeLocalPlan(pb.future()).predicted
-}
-
-func (pb *PlannerBench) RefReplan() float64 {
-	pb.perturb()
-	f := pb.future()
-	g := pb.r.refComputeGlobalPlan(f)
-	l := pb.r.refComputeLocalPlan(f)
-	if l.predicted < g.predicted {
-		return l.predicted
-	}
-	return g.predicted
-}
-
-// SolverStats exposes the knapsack memo's hit/miss counters.
-func (pb *PlannerBench) SolverStats() (hits, misses int) {
-	s := pb.r.pt.solver
-	return s.Hits, s.Misses
+	best, _ := pb.r.twoTierPlan(pb.r.futureTasks())
+	return best.predicted
 }

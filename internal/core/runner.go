@@ -131,7 +131,6 @@ type runner struct {
 	kindTotal      []int
 	kindRemaining  []int
 	kindSinceAudit []int
-	auditDrift     []int
 	// kindList fixes kind iteration order (first appearance in the graph)
 	// wherever float accumulation or candidate order would otherwise
 	// depend on Go's random map order.
@@ -151,12 +150,18 @@ type runner struct {
 	pairSeen      []bool
 	pairsNeeded   int
 
-	plan       planResult
-	planned    bool
-	needReplan bool
-	replans    int
-	slowStreak []int // per kind index
-	dynamicJ   float64
+	plan    planResult
+	planned bool
+	// needReplan is written only by requestReplan and cleared by the plan
+	// that consumes it; replanGrants counts granted requests per reason.
+	needReplan   bool
+	replans      int
+	replanGrants [numReplanReasons]int
+	// auditStreak and slowStreak count, per kind index, consecutive
+	// deviating audits and consecutive unexplained slow executions.
+	auditStreak []int
+	slowStreak  []int
+	dynamicJ    float64
 	// promoBlock blacklists chunks whose promotion just failed (no room);
 	// retries wait until some task completes, preventing a same-instant
 	// retry livelock. Cleared on every completion. Indexed by the dense
@@ -211,17 +216,15 @@ type runner struct {
 	adaptMargins []float64
 	adaptObjRel  []float64
 	kindBoosted  []bool
-	adaptRounds  int
 
 	// Feedback state (nil/zero unless cfg.Feedback.Enabled and the policy
 	// profiles; every consumer is gated so feedback-off runs stay
 	// bit-identical). fb holds the per-(kind, object) correction factors,
-	// fbView the planner-facing corrected-estimates view, fbReplans the
-	// feedback-triggered replan count against fbCfg.ReplanBudget.
-	fb        *feedback.Estimator
-	fbView    feedback.CorrectedEstimates
-	fbCfg     feedback.Config
-	fbReplans int
+	// fbView the planner-facing corrected-estimates view; fbCfg's
+	// ReplanBudget caps feedback-triggered replans.
+	fb     *feedback.Estimator
+	fbView feedback.CorrectedEstimates
+	fbCfg  feedback.Config
 
 	// Fault-injection state (all nil/zero without cfg.Faults, and every
 	// consumer is gated so the fault-free paths stay bit-identical).
@@ -294,7 +297,7 @@ func Run(g *task.Graph, cfg Config) (Result, error) {
 		Quarantines:          r.quarantines,
 		Readmits:             r.readmits,
 		ProfileSamples:       r.profiler.SamplesTaken(),
-		FeedbackReplans:      r.fbReplans,
+		FeedbackReplans:      r.replanGrants[replanFeedback],
 		FeedbackCorrections:  r.feedbackStats().Corrections,
 	}
 	res.EnergyDynamicJ, res.EnergyStaticJ = r.energy(end)
@@ -448,7 +451,7 @@ func (r *runner) setup() error {
 	r.totalPairs = r.pairsNeeded
 	r.slowStreak = make([]int, nk)
 	r.kindSinceAudit = make([]int, nk)
-	r.auditDrift = make([]int, nk)
+	r.auditStreak = make([]int, nk)
 	r.promoBlock = make([]bool, r.st.TotalChunks())
 	if r.profilesKinds() {
 		r.pt = newPlannerState(r)
@@ -632,13 +635,12 @@ func (r *runner) pairIx(ki int, obj task.ObjectID) int {
 	return ki*len(r.g.Objects) + int(obj)
 }
 
-// reopenKind marks a kind's profile stale (workload variation detected):
-// its estimates and pair coverage reset and the placement is recomputed
-// once the kind is re-profiled.
+// reopenKind marks a kind's profile stale: its estimates and pair
+// coverage reset, and a replan the caller requests waits until the kind
+// is re-profiled.
 func (r *runner) reopenKind(ki int) {
 	kind := r.kindList[ki]
 	r.profiler.MarkStale(kind)
-	r.needReplan = true
 	if r.pt != nil {
 		r.pt.invalidateKindName(kind)
 	}
@@ -694,20 +696,7 @@ func (r *runner) migBusy(t *task.Task) bool {
 
 // start launches task t on worker w as a simulation flow.
 func (r *runner) start(now float64, w int, t *task.Task) {
-	r.started[t.ID] = true
-	ki := r.g.KindIndex(t.ID)
-	r.kindRemaining[ki]--
-	for _, a := range t.Accesses {
-		r.inUse[a.Obj]++
-		ix := r.pairIx(ki, a.Obj)
-		r.pairRemaining[ix]--
-		if r.pairRemaining[ix] == 0 && !r.pairSeen[ix] {
-			r.pairsNeeded--
-		}
-	}
-	if r.pt != nil {
-		r.pt.taskStarted(t)
-	}
+	ki := r.markStarted(t)
 	if hw := r.st.DRAMUsed(); hw > r.highWater {
 		r.highWater = hw
 	}
@@ -816,6 +805,27 @@ func (r *runner) start(now float64, w int, t *task.Task) {
 	}
 }
 
+// markStarted is start's bookkeeping: the task leaves the future of its
+// kind, its objects and pair-coverage counts, and the planner state. It
+// returns the task's kind index.
+func (r *runner) markStarted(t *task.Task) int {
+	r.started[t.ID] = true
+	ki := r.g.KindIndex(t.ID)
+	r.kindRemaining[ki]--
+	for _, a := range t.Accesses {
+		r.inUse[a.Obj]++
+		ix := r.pairIx(ki, a.Obj)
+		r.pairRemaining[ix]--
+		if r.pairRemaining[ix] == 0 && !r.pairSeen[ix] {
+			r.pairsNeeded--
+		}
+	}
+	if r.pt != nil {
+		r.pt.taskStarted(t)
+	}
+	return ki
+}
+
 // taskFlow bundles a task-execution flow with its stage backing array
 // and completion context in one pooled allocation. OnDone is bound once
 // at creation; onDone returns the carrier to the pool before running
@@ -880,50 +890,22 @@ func (r *runner) complete(end, began float64, w int, t *task.Task, d model.Deman
 	dur := end - began
 	ki := r.g.KindIndex(t.ID)
 	if r.profilesKinds() {
+		drifted := false
 		if profiled {
-			obs := r.obsScratch[:0]
-			for _, a := range t.Accesses {
-				share := 0.0
-				if dur > 0 {
-					share = d.ObjSecOf(a.Obj) / dur
-				}
-				obs = append(obs, prof.AccessObs{
-					Obj: a.Obj, Loads: a.Loads, Stores: a.Stores,
-					Size: r.g.Object(a.Obj).Size, TimeShare: share,
-				})
-				ix := r.pairIx(ki, a.Obj)
-				if !r.pairSeen[ix] {
-					r.pairSeen[ix] = true
-					if r.pairRemaining[ix] > 0 {
-						r.pairsNeeded--
-					}
-				}
-			}
-			r.obsScratch = obs
-			dev := r.profiler.Record(prof.Exec{TaskID: t.ID, Kind: t.Kind, Duration: dur, Obs: obs})
-			if r.pt != nil {
-				// Profiled estimates are running means: every Record shifts
-				// the kind's benefits, so its cached pairs and totals go
-				// stale.
-				r.pt.invalidateKind(r.pt.kindOf[t.ID])
-			}
 			// Count-level drift: a periodic audit whose sampled counts
 			// disagree strongly with the stored profile means the kind's
 			// behaviour changed within known pairs. Two consecutive
 			// deviating audits re-open profiling and re-plan.
-			if r.planned && dev > auditDevThreshold {
-				r.auditDrift[ki]++
-				if r.auditDrift[ki] >= 2 {
-					r.auditDrift[ki] = 0
-					r.reopenKind(ki)
-				}
-			} else if dev <= auditDevThreshold {
-				r.auditDrift[ki] = 0
-			}
-		} else if r.planned && r.checkDrift(t, dur, d, load) {
+			dev := r.recordProfile(t, dur, d)
+			drifted = streak(r.auditStreak, ki, r.planned && dev > auditDevThreshold, 2)
+		} else if r.planned {
 			// Duration-level drift beyond what placement and contention
 			// explain: re-open profiling and re-plan.
+			drifted = r.checkDrift(t, dur, d, load)
+		}
+		if drifted {
 			r.reopenKind(ki)
+			r.requestReplan(replanStale)
 		}
 		if r.fb != nil {
 			r.observeFeedback(t, ki, d)
@@ -940,32 +922,49 @@ func (r *runner) complete(end, began float64, w int, t *task.Task, d model.Deman
 	r.freeWorkers = append(r.freeWorkers, w)
 
 	if r.planned && r.cfg.Tech.Proactive && r.cfg.Policy == Tahoe {
-		if r.plan.kind == "global" {
-			// Idempotent: enqueues only what is still missing, so global
-			// promotions that could not proceed earlier (target briefly in
-			// use, no room) are retried as execution unblocks them.
-			r.enforceGlobal()
-		} else {
-			r.proactiveScan()
-		}
+		r.enforcePlan()
 	}
 	r.scheduleDispatch()
+}
+
+// recordProfile feeds one profiled execution to the profiler: per-object
+// time shares from the task's demand, pair coverage, and the planner
+// cache invalidation every Record triggers (profiled estimates are
+// running means, so each Record shifts the kind's benefits). It returns
+// Record's count-level drift score.
+func (r *runner) recordProfile(t *task.Task, dur float64, d model.Demand) float64 {
+	ki := r.g.KindIndex(t.ID)
+	obs := r.obsScratch[:0]
+	for _, a := range t.Accesses {
+		share := 0.0
+		if dur > 0 {
+			share = d.ObjSecOf(a.Obj) / dur
+		}
+		obs = append(obs, prof.AccessObs{
+			Obj: a.Obj, Loads: a.Loads, Stores: a.Stores,
+			Size: r.g.Object(a.Obj).Size, TimeShare: share,
+		})
+		ix := r.pairIx(ki, a.Obj)
+		if !r.pairSeen[ix] {
+			r.pairSeen[ix] = true
+			if r.pairRemaining[ix] > 0 {
+				r.pairsNeeded--
+			}
+		}
+	}
+	r.obsScratch = obs
+	dev := r.profiler.Record(prof.Exec{TaskID: t.ID, Kind: t.Kind, Duration: dur, Obs: obs})
+	if r.pt != nil {
+		r.pt.invalidateKind(r.pt.kindOf[t.ID])
+	}
+	return dev
 }
 
 // advanceCursors moves each touched object's user cursor past every
 // finished user, unlocking dependence-safe migrations.
 func (r *runner) advanceCursors(t *task.Task) {
-	// Tasks touch a handful of objects; a quadratic scan over the access
-	// prefix dedups repeats without a per-call map.
 	for i, a := range t.Accesses {
-		dup := false
-		for _, b := range t.Accesses[:i] {
-			if b.Obj == a.Obj {
-				dup = true
-				break
-			}
-		}
-		if dup {
+		if !firstTouch(t, i) {
 			continue
 		}
 		users := r.g.Users(a.Obj)
@@ -975,6 +974,18 @@ func (r *runner) advanceCursors(t *task.Task) {
 		}
 		r.userCursor[a.Obj] = cur
 	}
+}
+
+// firstTouch reports whether access i is the task's first to its object.
+// Tasks touch a handful of objects; a quadratic scan over the access
+// prefix dedups repeats without a per-call map.
+func firstTouch(t *task.Task, i int) bool {
+	for _, b := range t.Accesses[:i] {
+		if b.Obj == t.Accesses[i].Obj {
+			return false
+		}
+	}
+	return true
 }
 
 // safeFor reports whether obj may be migrated for task t: every earlier
@@ -988,10 +999,62 @@ func (r *runner) safeFor(obj task.ObjectID, t task.TaskID) bool {
 	return cur >= len(users) || users[cur] >= t
 }
 
-// maxReplans bounds workload-variation re-planning so a pathological
-// feedback loop (placement changes durations, durations trigger replans)
-// cannot thrash.
+// maxReplans bounds re-planning so a pathological feedback loop
+// (placement changes durations, durations trigger replans) cannot
+// thrash.
 const maxReplans = 8
+
+// replanReason names why a replan is requested. Reasons differ only in
+// their budgets (see replanGrantable); every request goes through
+// requestReplan.
+type replanReason int
+
+const (
+	// replanStale: the plan's inputs went stale — a kind's profile
+	// drifted (count audit or duration residue) and was re-opened, or a
+	// tier was quarantined. No budget beyond maxReplans.
+	replanStale replanReason = iota
+	// replanAdaptive: an adaptive-sampling round densified and re-opened
+	// kinds.
+	replanAdaptive
+	// replanFeedback: a feedback correction factor moved past its
+	// threshold since the last plan.
+	replanFeedback
+	numReplanReasons
+)
+
+// replanGrantable reports whether a request of the reason would be
+// charged: the run is below maxReplans and the reason below its budget —
+// adaptMaxRounds for adaptive, fbCfg.ReplanBudget for feedback (negative:
+// none), and no budget of its own for stale.
+func (r *runner) replanGrantable(why replanReason) bool {
+	if r.replans >= maxReplans {
+		return false
+	}
+	switch why {
+	case replanAdaptive:
+		return r.replanGrants[why] < adaptMaxRounds
+	case replanFeedback:
+		return r.replanGrants[why] < r.fbCfg.ReplanBudget
+	}
+	return true
+}
+
+// requestReplan is the one way to ask for a replan. A request while one
+// is pending is coalesced into it and charges nothing; otherwise a
+// grantable request is charged to its reason and sets needReplan — except
+// before the first plan, which is pending anyway, so the request is
+// charged but sets nothing. maybePlan consumes needReplan after a short
+// cool-down.
+func (r *runner) requestReplan(why replanReason) {
+	if r.needReplan || !r.replanGrantable(why) {
+		return
+	}
+	r.replanGrants[why]++
+	if r.planned {
+		r.needReplan = true
+	}
+}
 
 // maybePlan triggers the placement decision once every kind with future
 // executions has completed its profiling window and every future
@@ -1000,15 +1063,15 @@ const maxReplans = 8
 // one-shot pipelines) still get a plan. Replans need only a short
 // cool-down (the drift detector's streak already filters noise).
 func (r *runner) maybePlan(now float64) {
-	if r.planned && !r.needReplan {
-		return
-	}
-	if r.planned && r.needReplan {
-		cooldown := len(r.g.Tasks) / 50
-		if cooldown < prof.DriftStreak {
-			cooldown = prof.DriftStreak
+	if r.planned {
+		if !r.needReplan {
+			return
 		}
-		if r.replans >= maxReplans || r.completed-r.lastPlanAt < cooldown {
+		cooldown := len(r.g.Tasks) / 50
+		if cooldown < driftStreak {
+			cooldown = driftStreak
+		}
+		if r.completed-r.lastPlanAt < cooldown {
 			return
 		}
 	}
@@ -1031,11 +1094,12 @@ func (r *runner) maybePlan(now float64) {
 			return
 		}
 	}
-	// Adaptive pre-plan gate: don't let the first plan commit off
-	// estimates whose noise could flip placements — densify the sensitive
-	// kinds and wait for their re-profile instead (bounded by
-	// adaptMaxRounds), so harmful migrations never enqueue.
-	if !r.planned && r.adaptPrecheck() {
+	// Adaptive pre-plan gate: run the sensitivity query against the
+	// would-be knapsack, and if any kind's noise could flip a placement,
+	// densify it and defer the first plan until the boosted re-profile
+	// lands (bounded by the adaptive replan budget), so harmful
+	// migrations never enqueue.
+	if !r.planned && r.adaptSampling() > 0 {
 		return
 	}
 	if r.planned {
@@ -1064,17 +1128,33 @@ func (r *runner) checkDrift(t *task.Task, dur float64, d model.Demand, load int)
 	if latSec > expected-d.FixedSec {
 		expected = d.FixedSec + latSec
 	}
-	if dur > 2.0*expected {
-		ki := r.g.KindIndex(t.ID)
-		r.slowStreak[ki]++
-		if r.slowStreak[ki] >= prof.DriftStreak {
-			r.slowStreak[ki] = 0
-			return true
-		}
+	return streak(r.slowStreak, r.g.KindIndex(t.ID), dur > driftSlowdown*expected, driftStreak)
+}
+
+// checkDrift's thresholds: a task is slow when it takes more than
+// driftSlowdown times its expectation, and a kind drifted after
+// driftStreak consecutive slow executions. Single slow runs are noise; a
+// sustained residue is workload variation. driftStreak also floors the
+// replan cool-down.
+const (
+	driftSlowdown = 2.0
+	driftStreak   = 12
+)
+
+// streak advances a per-kind run of consecutive hits: a miss resets
+// counts[ki], a hit extends it, and reaching n resets it and reports
+// true.
+func streak(counts []int, ki int, hit bool, n int) bool {
+	if !hit {
+		counts[ki] = 0
 		return false
 	}
-	r.slowStreak[r.g.KindIndex(t.ID)] = 0
-	return false
+	counts[ki]++
+	if counts[ki] < n {
+		return false
+	}
+	counts[ki] = 0
+	return true
 }
 
 // planAudit, when set (by the equivalence test), receives every freshly
@@ -1082,10 +1162,17 @@ func (r *runner) checkDrift(t *task.Task, dur float64, d model.Demand, load int)
 // before the winner is chosen or enforced.
 var planAudit func(r *runner, future []*task.Task, got planResult)
 
-// decidePlacement runs the searches the configuration enables, charges
-// the solver cost, and applies the winner.
-func (r *runner) decidePlacement(now float64) {
-	// Tasks are stored in ID order, so the future list is born sorted.
+// audited hands a freshly computed plan to planAudit, if set.
+func (r *runner) audited(future []*task.Task, p planResult) planResult {
+	if planAudit != nil {
+		planAudit(r, future, p)
+	}
+	return p
+}
+
+// futureTasks rebuilds the unstarted-task list in the planner's scratch.
+// Tasks are stored in ID order, so the list is born sorted.
+func (r *runner) futureTasks() []*task.Task {
 	future := r.pt.future[:0]
 	for _, t := range r.g.Tasks {
 		if !r.started[t.ID] {
@@ -1093,62 +1180,58 @@ func (r *runner) decidePlacement(now float64) {
 		}
 	}
 	r.pt.future = future
+	return future
+}
 
-	if r.cfg.Policy == PhaseBased {
-		r.plan = r.computeLevelPlan(future)
-		if planAudit != nil {
-			planAudit(r, future, r.plan)
-		}
-		r.finishPlan(now, r.plan.solverSec)
+// decidePlacement runs the searches the configuration enables, charges
+// the solver cost, and applies the winner.
+func (r *runner) decidePlacement(now float64) {
+	future := r.futureTasks()
+	plan, ok := planResult{}, true
+	switch {
+	case r.cfg.Policy == PhaseBased:
+		plan = r.audited(future, r.computeLevelPlan(future))
+	case r.st.NumTiers() > 2 && (r.cfg.Tech.GlobalSearch || r.cfg.Tech.LocalSearch):
+		// Machines with more than two tiers use the N-tier planner: one
+		// multiple-choice knapsack over (chunk, tier) instead of the
+		// two-tier global/local pair.
+		plan = r.audited(future, r.computeTierPlan(future))
+	default:
+		plan, ok = r.twoTierPlan(future)
+	}
+	if !ok {
 		return
 	}
-
-	// Machines with more than two tiers use the N-tier planner: one
-	// multiple-choice knapsack over (chunk, tier) instead of the two-tier
-	// global/local pair. Two-tier machines never enter this branch.
-	if r.st.NumTiers() > 2 && (r.cfg.Tech.GlobalSearch || r.cfg.Tech.LocalSearch) {
-		r.plan = r.computeTierPlan(future)
-		if planAudit != nil {
-			planAudit(r, future, r.plan)
-		}
-		r.finishPlan(now, r.plan.solverSec)
+	r.plan = plan
+	r.finishPlan(now, plan.solverSec)
+	switch plan.kind {
+	case "tier":
 		r.enforceTierPlan()
-		return
+	case "global", "local":
+		r.enforcePlan()
 	}
+}
 
-	var best planResult
-	have := false
+// twoTierPlan runs the global and local searches the configuration
+// enables and returns the one predicting the shorter remaining time,
+// charged with both searches' solver cost; ok is false when neither is
+// enabled.
+func (r *runner) twoTierPlan(future []*task.Task) (best planResult, ok bool) {
 	if r.cfg.Tech.GlobalSearch {
-		best = r.computeGlobalPlan(future)
-		if planAudit != nil {
-			planAudit(r, future, best)
-		}
-		have = true
+		best = r.audited(future, r.computeGlobalPlan(future))
+		ok = true
 	}
 	if r.cfg.Tech.LocalSearch {
-		local := r.computeLocalPlan(future)
-		if planAudit != nil {
-			planAudit(r, future, local)
-		}
-		if !have || local.predicted < best.predicted {
+		local := r.audited(future, r.computeLocalPlan(future))
+		if !ok || local.predicted < best.predicted {
 			local.solverSec += best.solverSec
 			best = local
 		} else {
 			best.solverSec += local.solverSec
 		}
-		have = true
+		ok = true
 	}
-	if !have {
-		return
-	}
-	r.plan = best
-	r.finishPlan(now, best.solverSec)
-
-	if r.plan.kind == "global" {
-		r.enforceGlobal()
-	} else if r.cfg.Tech.Proactive {
-		r.proactiveScan()
-	}
+	return best, ok
 }
 
 // traceObserver adapts the trace log to the migration engine's hook.
@@ -1243,9 +1326,7 @@ func (r *runner) quarantineTier(now float64, t mem.Tier, until float64) {
 	if r.cfg.Trace != nil {
 		r.cfg.Trace.Add(trace.Event{Time: now, Kind: trace.TierQuarantine, To: t, OK: true})
 	}
-	if r.planned {
-		r.needReplan = true
-	}
+	r.requestReplan(replanStale)
 	r.drainTier(t)
 	if until <= now {
 		until = now + minQuarantineSec
@@ -1271,11 +1352,7 @@ func (r *runner) readmitTier(now float64, t mem.Tier) {
 		r.cfg.Trace.Add(trace.Event{Time: now, Kind: trace.TierReadmit, To: t, OK: true})
 	}
 	if r.planned && r.cfg.Tech.Proactive && r.cfg.Policy == Tahoe {
-		if r.plan.kind == "global" {
-			r.enforceGlobal()
-		} else {
-			r.proactiveScan()
-		}
+		r.enforcePlan()
 	}
 	r.scheduleDispatch()
 }
@@ -1285,10 +1362,7 @@ func (r *runner) readmitTier(now float64, t mem.Tier) {
 // already moving. Chunks that cannot fit anywhere below stay put — data
 // is never lost, merely slow — and the planner simply stops adding more.
 func (r *runner) drainTier(t mem.Tier) {
-	below := t - 1
-	for below > 0 && r.quarantinedTier(below) {
-		below--
-	}
+	below := r.tierBelow(t)
 	for _, o := range r.g.Objects {
 		if r.inUse[o.ID] > 0 || r.mig.BusyObject(o.ID) {
 			continue
@@ -1297,14 +1371,9 @@ func (r *runner) drainTier(t mem.Tier) {
 			if r.st.Tier(ref) != t || r.mig.Busy(ref) {
 				continue
 			}
-			size := r.st.ChunkSize(ref)
-			if r.st.TierAvail(below)-r.pendingTier[below] < size {
-				r.makeRoomOn(below, size, nil)
+			if r.makeRoomOn(below, r.st.ChunkSize(ref), nil) {
+				r.enqueueMove(ref, below, -1)
 			}
-			if r.st.TierAvail(below)-r.pendingTier[below] < size {
-				continue
-			}
-			r.enqueueMove(ref, below, -1)
 		}
 	}
 }
@@ -1334,19 +1403,33 @@ func (r *runner) finishPlan(now float64, cost float64) {
 	}
 }
 
-// enforceGlobal enqueues the one-time migrations of the global plan.
-// Residents outside the target are demoted only when a promotion needs
-// their space; gratuitous eviction of unmentioned data would churn.
-// Bitset iteration is ascending (object, chunk) order — the order the
-// map-based version sorted into. Filtering inline is equivalent to the
-// old collect-then-promote: a promotion's eviction victims are never in
-// the target set, so earlier promotions cannot change a later target
-// chunk's tier or busy state within this pass.
-func (r *runner) enforceGlobal() {
-	r.plan.global.forEach(func(ix int) {
+// enforcePlan enqueues what the current two-tier Tahoe plan still
+// wants moved: the global target's missing promotions, or the local
+// plan's lookahead scan when migration is proactive. Both are
+// idempotent, so promotions that could not proceed earlier (target
+// briefly in use, no room) are retried as execution unblocks them.
+func (r *runner) enforcePlan() {
+	if r.plan.kind == "global" {
+		r.promoteMissing(r.plan.global)
+	} else if r.cfg.Tech.Proactive {
+		r.proactiveScan()
+	}
+}
+
+// promoteMissing enqueues promotions of the target's chunks that are
+// not yet on the fastest tier. Residents outside the target are demoted
+// only when a promotion needs their space; gratuitous eviction of
+// unmentioned data would churn. Bitset iteration is ascending (object,
+// chunk) order — the order the map-based version sorted into. Filtering
+// inline is equivalent to the old collect-then-promote: a promotion's
+// eviction victims are never in the target set, so earlier promotions
+// cannot change a later target chunk's tier or busy state within this
+// pass.
+func (r *runner) promoteMissing(target planSet) {
+	target.forEach(func(ix int) {
 		ref := r.st.RefAt(ix)
 		if r.st.TierAt(ix) != r.fastTier && !r.mig.Busy(ref) && !r.promoBlock[ix] {
-			r.tryPromote(ref, r.plan.global, -1)
+			r.tryPromote(ref, r.fastTier, target, -1)
 		}
 	})
 }
@@ -1354,37 +1437,16 @@ func (r *runner) enforceGlobal() {
 // enforceLevel enqueues the PhaseBased plan for a level (once per level),
 // plus the next level's, giving the comparator its one-phase lookahead.
 func (r *runner) enforceLevel(lv int) {
+	if r.levelEnforced == nil {
+		r.levelEnforced = make([]bool, len(r.plan.perLevel))
+	}
 	for _, l := range []int{lv, lv + 1} {
-		if l >= len(r.levelDone()) || r.levelEnforced[l] {
-			continue
-		}
-		if l >= len(r.plan.perLevel) || r.plan.perLevel[l] == nil {
+		if l >= len(r.plan.perLevel) || r.levelEnforced[l] || r.plan.perLevel[l] == nil {
 			continue
 		}
 		r.levelEnforced[l] = true
-		target := r.plan.perLevel[l]
-		// Promote the level's targets, demoting only as space requires.
-		target.forEach(func(ix int) {
-			ref := r.st.RefAt(ix)
-			if r.st.TierAt(ix) != r.fastTier && !r.mig.Busy(ref) && !r.promoBlock[ix] {
-				r.tryPromote(ref, target, -1)
-			}
-		})
+		r.promoteMissing(r.plan.perLevel[l])
 	}
-}
-
-// levelDone sizes the levelEnforced slice lazily.
-func (r *runner) levelDone() []bool {
-	if r.levelEnforced == nil {
-		maxLevel := 0
-		for _, lv := range r.levels {
-			if lv > maxLevel {
-				maxLevel = lv
-			}
-		}
-		r.levelEnforced = make([]bool, maxLevel+2)
-	}
-	return r.levelEnforced
 }
 
 // proactiveScan looks ahead over the next Lookahead undispatched tasks in
@@ -1438,46 +1500,46 @@ func (r *runner) proactiveScan() {
 			continue
 		}
 		seen.set(w.ix)
-		r.tryPromote(ref, windowKeep, w.id)
+		r.tryPromote(ref, r.fastTier, windowKeep, w.id)
 	}
 }
 
-// tryPromote attempts one chunk promotion to the fastest tier: make room
-// by demoting farthest-next-use residents, and enqueue the copy only
-// when the projected headroom actually covers it — a promotion that
-// cannot fit (its would-be victims are in use) is silently skipped and
-// retried on a later scan, rather than enqueued to fail and stall
-// dispatch.
-func (r *runner) tryPromote(ref heap.ChunkRef, keep planSet, forTask task.TaskID) bool {
-	return r.tryPromoteTo(ref, r.fastTier, keep, forTask)
-}
-
-// tryPromoteTo is tryPromote with an explicit target tier (used by the
-// tier plan on machines with more than two tiers). A quarantined target
-// refuses the promotion outright; the scan retries after readmission.
-func (r *runner) tryPromoteTo(ref heap.ChunkRef, to mem.Tier, keep planSet, forTask task.TaskID) bool {
-	if r.quarantinedTier(to) {
-		return false
-	}
-	size := r.st.ChunkSize(ref)
-	r.makeRoomOn(to, size, keep)
-	if r.st.TierAvail(to)-r.pendingTier[to] < size {
+// tryPromote attempts one chunk promotion to tier `to`: make room by
+// demoting farthest-next-use residents, and enqueue the copy only when
+// the projected headroom actually covers it — a promotion that cannot
+// fit (its would-be victims are in use) is silently skipped and retried
+// on a later scan, rather than enqueued to fail and stall dispatch. A
+// quarantined target refuses the promotion outright; the scan retries
+// after readmission.
+func (r *runner) tryPromote(ref heap.ChunkRef, to mem.Tier, keep planSet, forTask task.TaskID) bool {
+	if r.quarantinedTier(to) || !r.makeRoomOn(to, r.st.ChunkSize(ref), keep) {
 		return false
 	}
 	r.enqueueMove(ref, to, forTask)
 	return true
 }
 
+// tierBelow returns the nearest tier under t that is not quarantined
+// (the bottom tier never is).
+func (r *runner) tierBelow(t mem.Tier) mem.Tier {
+	below := t - 1
+	for below > 0 && r.quarantinedTier(below) {
+		below--
+	}
+	return below
+}
+
 // makeRoomOn enqueues demotions of the farthest-next-use residents of
-// tier t not wanted by the current target set until size bytes fit.
-// Victims demote stepwise: one tier down the hierarchy, not straight to
-// the bottom — an evicted chunk on a three-tier machine lands in the
-// middle tier first, keeping it cheaper to re-promote. When the tier
-// below is itself bounded, room is made there recursively.
-func (r *runner) makeRoomOn(t mem.Tier, size int64, keep planSet) {
+// tier t not wanted by the current target set until size bytes fit, and
+// reports whether the projected headroom now covers them. Victims demote
+// stepwise: one tier down the hierarchy (skipping quarantined tiers),
+// not straight to the bottom — an evicted chunk on a three-tier machine
+// lands in the middle tier first, keeping it cheaper to re-promote. When
+// the tier below is itself bounded, room is made there recursively.
+func (r *runner) makeRoomOn(t mem.Tier, size int64, keep planSet) bool {
 	free := r.st.TierAvail(t) - r.pendingTier[t]
 	if free >= size {
-		return
+		return true
 	}
 	type victim struct {
 		ref     heap.ChunkRef
@@ -1499,7 +1561,7 @@ func (r *runner) makeRoomOn(t mem.Tier, size int64, keep planSet) {
 			// enforcement passes use forTask == -1 (yielding the object's
 			// first-ever, usually finished, user), and far-ahead proactive
 			// promotions skipped every use between the frontier and the
-			// beneficiary. Same origin as the planners (plan.go, plan_ref.go).
+			// beneficiary. Same origin as the planners.
 			next := len(r.g.Tasks) + 1
 			if nu, ok := r.g.NextUser(o.ID, r.frontier()-1); ok {
 				next = int(nu)
@@ -1514,27 +1576,21 @@ func (r *runner) makeRoomOn(t mem.Tier, size int64, keep planSet) {
 		return victims[i].ref.Obj < victims[j].ref.Obj ||
 			(victims[i].ref.Obj == victims[j].ref.Obj && victims[i].ref.Index < victims[j].ref.Index)
 	})
-	below := t - 1
-	for below > 0 && r.quarantinedTier(below) {
-		below-- // evictions skip quarantined tiers on the way down
-	}
+	below := r.tierBelow(t)
 	for _, v := range victims {
 		if free >= size {
-			return
+			break
 		}
 		vsize := r.st.ChunkSize(v.ref)
-		if below > 0 {
-			// The tier below is bounded too: cascade the eviction down.
-			if r.st.TierAvail(below)-r.pendingTier[below] < vsize {
-				r.makeRoomOn(below, vsize, keep)
-			}
-			if r.st.TierAvail(below)-r.pendingTier[below] < vsize {
-				continue // no room anywhere below; try the next victim
-			}
+		// A bounded tier below cascades the eviction down; with no room
+		// anywhere below, try the next victim.
+		if below > 0 && !r.makeRoomOn(below, vsize, keep) {
+			continue
 		}
 		free += vsize
 		r.enqueueMove(v.ref, below, -1)
 	}
+	return r.st.TierAvail(t)-r.pendingTier[t] >= size
 }
 
 // requestFor (reactive mode) enqueues the migrations task t's plan wants,
@@ -1549,7 +1605,7 @@ func (r *runner) requestFor(t *task.Task) {
 		for i, ref := range r.st.Refs(a.Obj) {
 			if target.has(base+i) && r.st.TierAt(base+i) != r.fastTier && !r.mig.Busy(ref) &&
 				!r.promoBlock[base+i] && r.safeFor(a.Obj, t.ID) {
-				r.tryPromote(ref, target, t.ID)
+				r.tryPromote(ref, r.fastTier, target, t.ID)
 			}
 		}
 	}

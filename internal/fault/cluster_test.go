@@ -132,13 +132,17 @@ func TestClusterScheduleEmptyAndValidate(t *testing.T) {
 
 func TestParseClusterSpecErrors(t *testing.T) {
 	for _, spec := range []string{
-		"rpn=2,horizon=1",              // missing nodes
-		"nodes=4",                      // missing horizon
-		"nodes=0,horizon=1",            // bad nodes
-		"nodes=4,rpn=0,horizon=1",      // bad rpn
-		"nodes=4,horizon=1,node-rate=", // bad value
-		"nodes=4,horizon=1,bogus=3",    // unknown key
-		"nodes=4,horizon=-1",           // negative horizon
+		"rpn=2,horizon=1",                 // missing nodes
+		"nodes=4",                         // missing horizon
+		"nodes=0,horizon=1",               // bad nodes
+		"nodes=4,rpn=0,horizon=1",         // bad rpn
+		"nodes=4,horizon=1,node-rate=",    // bad value
+		"nodes=4,horizon=1,bogus=3",       // unknown key
+		"nodes=4,horizon=-1",              // negative horizon
+		"nodes=4,horizon=1,node-rate=NaN", // non-finite rates and horizon
+		"nodes=4,horizon=1,dev-rate=Inf",
+		"nodes=4,horizon=NaN",
+		"nodes=4,horizon=Inf",
 	} {
 		if _, err := ParseClusterSpec(spec); err == nil {
 			t.Fatalf("ParseClusterSpec(%q) accepted", spec)

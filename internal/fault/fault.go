@@ -27,6 +27,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -263,8 +264,11 @@ func ParseSpec(spec string) (*Schedule, error) {
 	if !haveRate || !haveHorizon {
 		return nil, fmt.Errorf("fault: spec %q needs at least rate= and horizon=", spec)
 	}
-	if rate < 0 || horizon < 0 {
-		return nil, fmt.Errorf("fault: spec %q has negative rate or horizon", spec)
+	if !nonNegFinite(rate) || !nonNegFinite(horizon) {
+		return nil, fmt.Errorf("fault: spec %q needs a finite, non-negative rate and horizon", spec)
 	}
 	return Random(seed, rate, horizon, tiers), nil
 }
+
+// nonNegFinite reports whether v is finite and >= 0 (false for NaN).
+func nonNegFinite(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }

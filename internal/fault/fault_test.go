@@ -56,6 +56,11 @@ func TestParseSpec(t *testing.T) {
 	if _, err := ParseSpec("rate=-1,horizon=1"); err == nil {
 		t.Fatal("negative rate accepted")
 	}
+	for _, spec := range []string{"rate=NaN,horizon=1", "rate=Inf,horizon=1", "rate=1,horizon=NaN", "rate=1,horizon=Inf"} {
+		if _, err := ParseSpec(spec); err == nil {
+			t.Fatalf("non-finite spec %q accepted", spec)
+		}
+	}
 	s, err := ParseSpec("rate=2,seed=9,horizon=0.5")
 	if err != nil || s == nil {
 		t.Fatalf("valid spec rejected: %v", err)

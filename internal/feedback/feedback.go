@@ -36,13 +36,14 @@
 // MaxFactor]), at which point the CorrectedEstimates view scales the
 // planner's per-(kind, object) benefits by it.
 //
-// This is deliberately a different mechanism from the profiler's two
-// drift detectors (internal/prof): those discard a kind's profile and
-// re-open its sampling window when counts or durations shift —
-// expensive, and blind until the re-profile completes. Feedback keeps
-// the profile and rescales what the planner derives from it — cheap,
-// immediate, and able to correct errors no re-profile can see (a wrong
-// calibration factor produces exactly the same wrong estimate twice).
+// This is deliberately a different mechanism from the runtime's two
+// profile-drift detectors (internal/core): those discard a kind's
+// profile and re-open its sampling window when counts or durations
+// shift — expensive, and blind until the re-profile completes. Feedback
+// keeps the profile and rescales what the planner derives from it —
+// cheap, immediate, and able to correct errors no re-profile can see (a
+// wrong calibration factor produces exactly the same wrong estimate
+// twice).
 // When an effective factor moves multiplicatively past ReplanThreshold
 // relative to its value at the last placement decision (Snapshot), the
 // runtime triggers an O(Δ) replan through the same kind-invalidation
@@ -52,6 +53,7 @@ package feedback
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/task"
 )
@@ -121,14 +123,15 @@ func (c Config) WithDefaults() Config {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.Alpha < 0 || c.Alpha > 1 {
+	// Written so that NaN fails every check.
+	if !(c.Alpha >= 0 && c.Alpha <= 1) {
 		return fmt.Errorf("feedback: alpha %g outside [0, 1]", c.Alpha)
 	}
-	if c.Deadband < 0 {
-		return fmt.Errorf("feedback: negative deadband %g", c.Deadband)
+	if !(c.Deadband >= 0 && c.Deadband <= math.MaxFloat64) {
+		return fmt.Errorf("feedback: deadband %g not finite and non-negative", c.Deadband)
 	}
-	if c.ReplanThreshold < 0 {
-		return fmt.Errorf("feedback: negative replan threshold %g", c.ReplanThreshold)
+	if !(c.ReplanThreshold >= 0 && c.ReplanThreshold <= math.MaxFloat64) {
+		return fmt.Errorf("feedback: replan threshold %g not finite and non-negative", c.ReplanThreshold)
 	}
 	return nil
 }
@@ -254,18 +257,6 @@ type Stats struct {
 	// MinFactor and MaxFactor bound the active effective factors
 	// (both 1 when no correction is active).
 	MinFactor, MaxFactor float64
-}
-
-// Range calls f for every pair with at least one observation, with the
-// raw EWMA ratio and the effective factor — the estimator's full state,
-// for diagnostics and experiments.
-func (e *Estimator) Range(f func(ki int, obj task.ObjectID, ratio, eff float64)) {
-	for ix, n := range e.count {
-		if n == 0 || e.predEwma[ix] <= 0 {
-			continue
-		}
-		f(ix/e.nobj, task.ObjectID(ix%e.nobj), e.obsEwma[ix]/e.predEwma[ix], e.eff[ix])
-	}
 }
 
 // Stats computes the current Stats.

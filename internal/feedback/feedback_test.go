@@ -1,6 +1,7 @@
 package feedback
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/task"
@@ -111,6 +112,11 @@ func TestConfigValidate(t *testing.T) {
 		{Alpha: 1.5},
 		{Deadband: -1},
 		{ReplanThreshold: -0.5},
+		{Alpha: math.NaN()},
+		{Deadband: math.NaN()},
+		{Deadband: math.Inf(1)},
+		{ReplanThreshold: math.NaN()},
+		{ReplanThreshold: math.Inf(1)},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("config %+v passed validation", bad)

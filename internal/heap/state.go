@@ -33,9 +33,9 @@ type alloc struct {
 // contiguous loads instead of objState→chunkState pointer chases.
 // Per-(object, tier) resident bytes are maintained incrementally in
 // integer accumulators, making TierFraction and InDRAM O(1); integer
-// arithmetic keeps them bit-identical to a scan. The retained
-// reference layout (state_ref.go) can shadow every mutation via
-// ShadowCheck and cross-checks the two representations observable by
+// arithmetic keeps them bit-identical to a scan. In tests, the retained
+// reference layout (state_ref_test.go) can shadow every mutation via
+// newShadow and cross-check the two representations observable by
 // observable.
 type State struct {
 	hms      mem.HMS
@@ -67,10 +67,21 @@ type State struct {
 	// moveScratch is the reusable piece buffer for Move.
 	moveScratch []alloc
 
-	// shadow is the reference-layout mirror, nil unless ShadowCheck was
+	// shadow is the reference-layout mirror, nil unless newShadow was
 	// set when the state was built.
-	shadow *refState
+	shadow shadowLayout
 }
+
+// shadowLayout mirrors a State in another layout: it replays every Move
+// and compares every observable against the State.
+type shadowLayout interface {
+	move(ref ChunkRef, to mem.Tier) error
+	verify(s *State) error
+}
+
+// newShadow, when set before NewState, builds a shadow for every new
+// State. Only the layout-equivalence tests set it (export_test.go).
+var newShadow func(hms mem.HMS, objects []*task.Object, chunksFor map[task.ObjectID]int) (shadowLayout, error)
 
 // NewState lays out the graph's objects on the HMS, all on tier 0.
 // chunksFor, if non-nil, gives the number of chunks to split an object
@@ -159,8 +170,8 @@ func NewState(hms mem.HMS, objects []*task.Object, chunksFor map[task.ObjectID]i
 		s.refs[o.ID] = s.refsFlat[lo:hi:hi]
 	}
 
-	if ShadowCheck {
-		shadow, err := newRefState(hms, objects, chunksFor)
+	if newShadow != nil {
+		shadow, err := newShadow(hms, objects, chunksFor)
 		if err != nil {
 			return nil, fmt.Errorf("heap: shadow build diverged: %w", err)
 		}
@@ -194,9 +205,6 @@ func (s *State) Chunks(obj task.ObjectID) int { return s.base[obj+1] - s.base[ob
 
 // ChunkSize returns the byte size of one chunk.
 func (s *State) ChunkSize(ref ChunkRef) int64 { return s.chunkSize[s.base[ref.Obj]+ref.Index] }
-
-// SizeAt returns the byte size of the chunk with global index ix.
-func (s *State) SizeAt(ix int) int64 { return s.chunkSize[ix] }
 
 // Tier returns where a chunk currently lives.
 func (s *State) Tier(ref ChunkRef) mem.Tier { return s.chunkTier[s.base[ref.Obj]+ref.Index] }
@@ -234,8 +242,7 @@ func (s *State) InDRAM(obj task.ObjectID) bool {
 func (s *State) DRAMUsed() int64  { return s.tiers[s.Fastest()].Used() }
 func (s *State) DRAMAvail() int64 { return s.tiers[s.Fastest()].Avail() }
 
-// TierUsed and TierAvail expose any tier's allocator accounting.
-func (s *State) TierUsed(t mem.Tier) int64  { return s.tiers[t].Used() }
+// TierAvail exposes any tier's free bytes.
 func (s *State) TierAvail(t mem.Tier) int64 { return s.tiers[t].Avail() }
 
 // CanPromote reports whether the chunk would fit on the fastest tier

@@ -164,47 +164,28 @@ func (d Demand) StageRate(tier mem.Tier) float64 {
 }
 
 // TaskDemand computes the ground-truth demand of one task under the
-// current placement. dramFrac gives, per object, the fraction of its
-// bytes resident in DRAM; traffic splits proportionally (uniform-access
-// assumption over the object, refined only by chunking).
+// current two-tier placement. dramFrac gives, per object, the fraction
+// of its bytes resident in DRAM; traffic splits proportionally
+// (uniform-access assumption over the object, refined only by
+// chunking). It is TaskDemandTiered with the DRAM share on InDRAM, the
+// rest on InNVM and nothing on any other tier.
 func TaskDemand(t *task.Task, h mem.HMS, dramFrac func(task.ObjectID) float64) Demand {
-	d := Demand{ObjSecs: make([]ObjSec, 0, len(t.Accesses))}
-	d.FixedSec = t.CPUSec
-	for _, a := range t.Accesses {
-		f := dramFrac(a.Obj)
-		var objTime float64
-		for _, tier := range []mem.Tier{mem.InDRAM, mem.InNVM} {
-			share := f
-			if tier == mem.InNVM {
-				share = 1 - f
-			}
-			if share <= 0 {
-				continue
-			}
-			loads := float64(a.Loads) * share
-			stores := float64(a.Stores) * share
-			lat, bw := AccessTime(loads, stores, a.MLP, h.Device(tier))
-			d.DevSec[tier] += bw
-			d.LatSec[tier] += lat
-			d.BytesRead[tier] += loads * mem.CacheLineSize
-			d.BytesWritten[tier] += stores * mem.CacheLineSize
-			if lat > bw {
-				objTime += lat
-			} else {
-				objTime += bw
-			}
+	return TaskDemandTiered(t, h, func(obj task.ObjectID, tier mem.Tier) float64 {
+		switch tier {
+		case mem.InDRAM:
+			return dramFrac(obj)
+		case mem.InNVM:
+			return 1 - dramFrac(obj)
 		}
-		d.addObjSec(a.Obj, objTime)
-		d.memSec += objTime
-	}
-	return d
+		return 0
+	})
 }
 
-// TaskDemandTiered is TaskDemand for machines with more than two tiers:
-// tierFrac gives, per (object, tier), the fraction of the object's bytes
-// resident on that tier, and traffic splits proportionally across every
-// tier holding a share. Tiers are visited fastest to slowest, matching
-// TaskDemand's DRAM-then-NVM order on the two-tier machine.
+// TaskDemandTiered computes the ground-truth demand of one task on a
+// machine with any number of tiers: tierFrac gives, per (object, tier),
+// the fraction of the object's bytes resident on that tier, and traffic
+// splits proportionally across every tier holding a share. Tiers are
+// visited fastest to slowest.
 func TaskDemandTiered(t *task.Task, h mem.HMS, tierFrac func(task.ObjectID, mem.Tier) float64) Demand {
 	d := Demand{ObjSecs: make([]ObjSec, 0, len(t.Accesses))}
 	d.FixedSec = t.CPUSec

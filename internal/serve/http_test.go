@@ -73,6 +73,12 @@ func TestHTTPErrors(t *testing.T) {
 		{`{"workload":"no-such-workload"}`, http.StatusBadRequest},
 		{`{"workload":"heat","policy":"bogus"}`, http.StatusBadRequest},
 		{`{"workload":"heat","machine":{"nvm":"bogus"}}`, http.StatusBadRequest},
+		// Non-finite spec values are refused before they reach the
+		// simulator, whose event loop cannot advance on a NaN rate.
+		{`{"workload":"heat","machine":{"nvm":"bw:NaN"}}`, http.StatusBadRequest},
+		{`{"workload":"heat","machine":{"nvm":"lat:Inf"}}`, http.StatusBadRequest},
+		{`{"workload":"heat","feedback":"alpha=NaN"}`, http.StatusBadRequest},
+		{`{"workload":"heat","faults":"rate=NaN,horizon=1"}`, http.StatusBadRequest},
 	} {
 		resp, body := postRun(t, ts.URL, tc.body)
 		if resp.StatusCode != tc.want {
@@ -100,6 +106,15 @@ func TestHTTPErrors(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("GET /v1/nope: %d", resp.StatusCode)
+		}
+	}
+	// The daemon survived every bad request.
+	if resp, err := http.Get(ts.URL + "/healthz"); err != nil {
+		t.Fatal(err)
+	} else {
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /healthz after bad requests: %d", resp.StatusCode)
 		}
 	}
 }

@@ -226,6 +226,33 @@ func TestExperimentShapes(t *testing.T) {
 	}
 }
 
+// TestE21FeedbackReplans pins the E21 cell whose feedback-replan count
+// depends on the replan rule: heat under the bw*8 model error requests
+// a third feedback replan only after the run has used all maxReplans
+// replans, so the request is refused and the cell reads 2.
+func TestE21FeedbackReplans(t *testing.T) {
+	e, _ := ExperimentByID("E21")
+	tb, err := e.Run(ExpOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload, found := "", false
+	for _, row := range tb.Rows {
+		if row[0] != "" {
+			workload = row[0]
+		}
+		if workload == "heat" && row[1] == "bw*8" {
+			found = true
+			if got := row[len(row)-1]; got != "2" {
+				t.Errorf("E21 heat/bw*8 feedback replans = %s, want 2", got)
+			}
+		}
+	}
+	if !found {
+		t.Fatal("E21 has no heat/bw*8 row")
+	}
+}
+
 // TestFFTOptaneManaged covers the fft workload on the Optane machine in
 // both read/write-modeling modes (it began life as a debug print loop):
 // the managed run must plan, migrate, clearly beat NVM-only, and be
