@@ -17,12 +17,16 @@ import (
 //     index instead of map[ChunkRef]bool;
 //   - the hypothetical resident footprint is an int64 accumulator
 //     maintained on membership change, not a rescan per task;
-//   - knapsack calls go through a memoizing placement.Solver, so the
-//     repeated same-kind candidate patterns of the local search pay a
-//     lookup (which is what solverSec always claimed they cost);
+//   - the local search's per-task knapsacks run the DP directly on the
+//     solver's reused scratch (placement.Solver.SolveDirect): their
+//     patterns rarely repeat exactly, so a memo would cost more than it
+//     saves. The global and level solves, which do repeat, memoize;
 //   - per-object benefit totals persist across maybePlan calls in
 //     plannerState and are refreshed only for objects dirtied since the
 //     last plan (frontier advance or profile change) — O(Δ) replans;
+//   - a profile change invalidates a kind's cached benefits in O(1), by
+//     bumping the kind's generation; the next refresh expands the
+//     invalidated kinds into dirty objects;
 //   - all scratch (candidate slices, bitsets, the per-task target
 //     backing store) is runner-owned and reused across plans.
 //
@@ -133,10 +137,10 @@ type planResult struct {
 	// predicted is the model's estimate of the remaining execution time
 	// under the plan; the runtime picks the smaller of global vs local.
 	predicted float64
-	// solverSec is the decision's modeled runtime cost. Weights and sizes
-	// repeat across same-kind tasks, so the per-task knapsacks of the
-	// local search memoize: distinct patterns pay the full DP, repeats
-	// pay a lookup.
+	// solverSec is the decision's modeled runtime cost, a model of the
+	// paper's runtime rather than of this implementation: the local
+	// search is charged 20 DP builds per kind plus a lookup per item,
+	// as if same-kind tasks' knapsacks were answered from a table.
 	solverSec float64
 }
 
@@ -174,15 +178,27 @@ type plannerState struct {
 
 	// Per-(kind, object) benefit cache: benefitPerExec is pure given the
 	// profiler's state for the kind, so entries are invalidated whenever
-	// the kind records a profile or is marked stale.
-	pairB  []float64 // nk * nobj
-	pairOK []bool
+	// the kind records a profile or is marked stale. An entry is valid
+	// while its pairGen equals its kind's kindGen; invalidating a kind
+	// bumps kindGen, dropping all its entries at once.
+	pairB   []float64 // nk * nobj
+	pairGen []uint64  // nk * nobj
+	kindGen []uint64  // per kind, starts at 1 so zeroed pairGen is stale
 
 	// Persistent per-object benefit totals over unstarted tasks, plus the
-	// dirty set driving O(Δ) refresh.
-	totals   []float64
-	objDirty []bool
-	dirty    []task.ObjectID
+	// dirty sets driving O(Δ) refresh: objects whose future changed, and
+	// kinds whose benefits changed (expanded into their objects at the
+	// next refresh).
+	totals    []float64
+	objDirty  []bool
+	dirty     []task.ObjectID
+	kindDirty []bool
+	dirtyKind []int32
+
+	// Local-search scratch: usesAhead's per-object cursors and each
+	// object's average benefit per future use, both reset by every plan.
+	aheadLo, aheadHi []int32
+	perUse           []float64
 
 	solver *placement.Solver
 
@@ -232,15 +248,21 @@ func newPlannerState(r *runner) *plannerState {
 		kindObjs:   make([][]task.ObjectID, nk),
 		futureUses: make([]int32, nobj),
 		pairB:      make([]float64, nk*nobj),
-		pairOK:     make([]bool, nk*nobj),
+		pairGen:    make([]uint64, nk*nobj),
+		kindGen:    make([]uint64, nk),
 		totals:     make([]float64, nobj),
 		objDirty:   make([]bool, nobj),
+		kindDirty:  make([]bool, nk),
+		aheadLo:    make([]int32, nobj),
+		aheadHi:    make([]int32, nobj),
+		perUse:     make([]float64, nobj),
 		solver:     placement.NewSolver(),
 		objMark:    make([]bool, nobj),
 		kindMark:   make([]bool, nk),
 	}
 	for i, k := range p.kindNames {
 		p.kindIx[k] = int32(i)
+		p.kindGen[i] = 1
 	}
 	for ix := 0; ix < total; ix++ {
 		p.chunkSize[ix] = st.ChunkSize(st.RefAt(ix))
@@ -308,16 +330,17 @@ func (p *plannerState) taskStarted(t *task.Task) {
 	}
 }
 
-// invalidateKind drops the kind's cached benefits and dirties every
-// object it touches — called when the kind records a profile (estimates
-// are running means, so every Record shifts them) or is marked stale.
+// invalidateKind drops the kind's cached benefits and queues every
+// object it touches for re-folding — called when the kind records a
+// profile (estimates are running means, so every Record shifts them) or
+// is marked stale. It runs on every task completion, so it does O(1)
+// work: a generation bump, and the kind joins the dirty-kind list that
+// refreshTotals expands.
 func (p *plannerState) invalidateKind(k int32) {
-	lo := int(k) * p.nobj
-	for i := lo; i < lo+p.nobj; i++ {
-		p.pairOK[i] = false
-	}
-	for _, obj := range p.kindObjs[k] {
-		p.markDirty(obj)
+	p.kindGen[k]++
+	if !p.kindDirty[k] {
+		p.kindDirty[k] = true
+		p.dirtyKind = append(p.dirtyKind, k)
 	}
 }
 
@@ -333,18 +356,27 @@ func (p *plannerState) invalidateKindName(kind string) {
 // state, so they are bit-identical to a fresh call.
 func (p *plannerState) benefit(r *runner, k int32, obj task.ObjectID) float64 {
 	ix := int(k)*p.nobj + int(obj)
-	if !p.pairOK[ix] {
+	if p.pairGen[ix] != p.kindGen[k] {
 		p.pairB[ix] = r.benefitPerExec(p.kindNames[k], obj)
-		p.pairOK[ix] = true
+		p.pairGen[ix] = p.kindGen[k]
 	}
 	return p.pairB[ix]
 }
 
-// refreshTotals re-folds the totals of dirty objects. Each fold adds the
-// object's future uses in (task, access-position) order — the reference
-// sum's exact addition order — so the result is bit-identical to a full
-// recompute while touching only Δ objects.
+// refreshTotals re-folds the totals of dirty objects, after dirtying
+// every object of each invalidated kind. Each fold adds the object's
+// future uses in (task, access-position) order — the reference sum's
+// exact addition order — and is independent of the others, so the
+// result is bit-identical to a full recompute whatever the dirty-list
+// order, while touching only Δ objects.
 func (p *plannerState) refreshTotals(r *runner) {
+	for _, k := range p.dirtyKind {
+		p.kindDirty[k] = false
+		for _, obj := range p.kindObjs[k] {
+			p.markDirty(obj)
+		}
+	}
+	p.dirtyKind = p.dirtyKind[:0]
 	for _, obj := range p.dirty {
 		p.objDirty[obj] = false
 		var sum float64
@@ -405,6 +437,12 @@ func (r *runner) meanTaskSec() float64 {
 // `to`: the submission-order distance between them, spread over the
 // workers, at the mean task duration. from < 0 means "safe immediately".
 func (r *runner) overlapSec(from, to task.TaskID) float64 {
+	return r.overlapSecAt(from, to, r.meanTaskSec())
+}
+
+// overlapSecAt is overlapSec at a given mean task duration, for callers
+// that hold the profiler fixed across many calls.
+func (r *runner) overlapSecAt(from, to task.TaskID, meanSec float64) float64 {
 	gap := int(to) - int(from) - 1
 	if from < 0 {
 		gap = int(to)
@@ -412,7 +450,7 @@ func (r *runner) overlapSec(from, to task.TaskID) float64 {
 	if gap < 0 {
 		gap = 0
 	}
-	return float64(gap) / float64(r.cfg.Workers) * r.meanTaskSec()
+	return float64(gap) / float64(r.cfg.Workers) * meanSec
 }
 
 // estTaskSec predicts a task's duration under a target set: the profiled
@@ -436,11 +474,29 @@ func (r *runner) estTaskSec(t *task.Task, target planSet) float64 {
 	return dur
 }
 
-// usesAhead counts obj's uses within (from, from+horizon].
+// usesAhead counts obj's uses within (from, from+horizon]. The local
+// search asks with a non-decreasing from, so each object keeps a pair of
+// cursors into its user list, (aheadLo, aheadHi] = the users in the last
+// window asked about, that only move forward; aheadLo < 0 means not yet
+// asked this plan, and the first ask binary-searches (as does an ask
+// that steps back, which the local search never makes). A plan's cursor
+// work is thus bounded by its objects' user counts.
 func (r *runner) usesAhead(obj task.ObjectID, from, horizon task.TaskID) int {
+	p := r.pt
 	users := r.g.Users(obj)
-	lo := sort.Search(len(users), func(i int) bool { return users[i] > from })
-	hi := sort.Search(len(users), func(i int) bool { return users[i] > from+horizon })
+	lo, hi := int(p.aheadLo[obj]), int(p.aheadHi[obj])
+	if lo < 0 || (lo > 0 && users[lo-1] > from) {
+		lo = sort.Search(len(users), func(i int) bool { return users[i] > from })
+		hi = lo
+	}
+	for lo < len(users) && users[lo] <= from {
+		lo++
+	}
+	hi = max(hi, lo)
+	for hi < len(users) && users[hi] <= from+horizon {
+		hi++
+	}
+	p.aheadLo[obj], p.aheadHi[obj] = int32(lo), int32(hi)
 	return hi - lo
 }
 
@@ -552,8 +608,9 @@ func mergeObjs(dst, a, b []task.ObjectID) []task.ObjectID {
 // the lookahead horizon, minus migration and eviction costs for
 // non-residents — the paper's task-by-task decision with known DRAM
 // contents. The hypothetical residency is a bitset plus an int64 byte
-// accumulator; same-kind tasks repeat candidate patterns, so the
-// per-task knapsacks mostly hit the solver's memo.
+// accumulator. The per-task knapsacks bypass the solver's memo
+// (SolveDirect): their weights change with each task's lookahead window,
+// so exact repeats are too rare to pay for the keys.
 func (r *runner) computeLocalPlan(future []*task.Task) planResult {
 	p := r.pt
 	p.refreshTotals(r)
@@ -582,6 +639,20 @@ func (r *runner) computeLocalPlan(future []*task.Task) planResult {
 	if horizon < 64 {
 		horizon = 64
 	}
+	for i := range p.aheadLo {
+		p.aheadLo[i] = -1
+	}
+	// The walk changes neither the totals, the future use counts, nor the
+	// profile, so per-use benefits and the mean task duration are fixed
+	// for the whole plan.
+	for obj, n := range p.futureUses {
+		pu := 0.0
+		if n > 0 {
+			pu = p.totals[obj] / float64(n)
+		}
+		p.perUse[obj] = pu
+	}
+	meanSec := r.meanTaskSec()
 
 	if len(p.perTask) < len(r.g.Tasks) {
 		p.perTask = make([]planSet, len(r.g.Tasks))
@@ -624,10 +695,7 @@ func (r *runner) computeLocalPlan(future []*task.Task) planResult {
 
 		cand := p.items[:0]
 		for _, obj := range candObjs {
-			pu := 0.0
-			if n := p.futureUses[obj]; n > 0 {
-				pu = p.totals[obj] / float64(n)
-			}
+			pu := p.perUse[obj]
 			if pu <= 0 {
 				continue
 			}
@@ -642,7 +710,7 @@ func (r *runner) computeLocalPlan(future []*task.Task) planResult {
 					if pu2, ok := r.g.PrevUser(obj, t.ID); ok {
 						from = pu2
 					}
-					w -= r.params.MigrationCost(size, r.overlapSec(from, t.ID))
+					w -= r.params.MigrationCost(size, r.overlapSecAt(from, t.ID, meanSec))
 					if residentBytes+size > capacity {
 						// Paper's extra_COST: demote just enough.
 						w -= float64(size) / r.cfg.HMS.CopyBW
@@ -653,7 +721,7 @@ func (r *runner) computeLocalPlan(future []*task.Task) planResult {
 		}
 		p.items = cand
 		items += len(cand)
-		chosen := p.solver.Solve(cand, capacity, placement.DefaultGranularity)
+		chosen := p.solver.SolveDirect(cand, capacity, placement.DefaultGranularity)
 
 		// The knapsack owns the residency decision: incumbents it did not
 		// re-choose are hypothetically demoted. chosen is ascending over
@@ -792,8 +860,9 @@ func (r *runner) computeLevelPlan(future []*task.Task) planResult {
 		solverSec: float64(len(perLevel))*solverItemSec + float64(items)*solverLookupSec}
 }
 
-// Solver cost constants: the DP pays per candidate item; memoized
-// repeats pay a hash lookup.
+// Modeled solver cost constants (the simulated runtime's, not this
+// host's): the DP pays per candidate item; repeated patterns pay a table
+// lookup.
 const (
 	solverItemSec   = 20e-6
 	solverLookupSec = 0.5e-6

@@ -270,7 +270,8 @@ func TestPlannerEquivalence(t *testing.T) {
 
 // TestPlannerSteadyStateAllocs pins down the optimization's headline
 // property: once the caches are warm, recomputing both searches on a
-// stable runner state allocates (essentially) nothing.
+// stable runner state allocates nothing, and neither does a replan once
+// every kind's invalidation has been seen.
 func TestPlannerSteadyStateAllocs(t *testing.T) {
 	g := equivGraph(8) // even seed: no drift, stable state
 	h := mem.NewHMS(mem.DRAM(), mem.NVMBandwidth(0.5), 32*mem.MB)
@@ -286,8 +287,41 @@ func TestPlannerSteadyStateAllocs(t *testing.T) {
 		pb.Global()
 		pb.Local()
 	})
-	if allocs > 2 {
-		t.Errorf("steady-state global+local plan allocates %v objects per run, want <= 2", allocs)
+	if allocs != 0 {
+		t.Errorf("steady-state global+local plan allocates %v objects per run, want 0", allocs)
+	}
+	for range pb.r.pt.nk { // one lap of the round-robin perturbation warms the memo
+		pb.Replan()
+	}
+	if allocs := testing.AllocsPerRun(100, func() { pb.Replan() }); allocs != 0 {
+		t.Errorf("steady-state replan allocates %v objects per run, want 0", allocs)
+	}
+}
+
+// TestLocalPlanBypassesMemo: the local search's per-task knapsacks run
+// without the solver's memo — a local plan leaves its size and its
+// hit/miss counters untouched — so the memo cannot creep back onto the
+// hot path.
+func TestLocalPlanBypassesMemo(t *testing.T) {
+	g := equivGraph(3)
+	h := mem.NewHMS(mem.DRAM(), mem.NVMBandwidth(0.5), 32*mem.MB)
+	pb, err := NewPlannerBench(g, DefaultConfig(h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := pb.r.pt.solver
+	pb.Global()
+	size, hits, misses := s.Len(), s.Hits, s.Misses
+	if misses == 0 {
+		t.Fatal("global plan did not reach the memo")
+	}
+	for i := 0; i < 3; i++ {
+		pb.Local()
+		pb.perturb()
+	}
+	if s.Len() != size || s.Hits != hits || s.Misses != misses {
+		t.Errorf("local plans touched the memo: len %d->%d, hits %d->%d, misses %d->%d",
+			size, s.Len(), hits, s.Hits, misses, s.Misses)
 	}
 }
 

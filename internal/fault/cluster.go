@@ -157,13 +157,19 @@ func RandomCluster(seed int64, nodeRate, devRate, horizon float64, nodes, ranksP
 	return cs
 }
 
+// MaxSpecRanks caps nodes*rpn in a parsed cluster spec: every rank of a
+// cluster job runs its own simulation.
+const MaxSpecRanks = 1 << 10
+
 // ParseClusterSpec builds a cluster schedule from a flag-style spec:
 //
 //	nodes=4,rpn=2,node-rate=0.5,dev-rate=2,seed=7,horizon=1.5[,tiers=3]
 //
 // delegating to RandomCluster. Empty string and "none" mean no faults
 // (nil schedule). rpn defaults to 1, tiers to 2, rates to 0; nodes and
-// horizon are required.
+// horizon are required. A spec is rejected when nodes*rpn exceeds
+// MaxSpecRanks, or when its events — the node outages plus every rank's
+// copy of its node's device schedule — exceed MaxSpecEvents.
 func ParseClusterSpec(spec string) (*ClusterSchedule, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" || spec == "none" {
@@ -217,6 +223,12 @@ func ParseClusterSpec(spec string) (*ClusterSchedule, error) {
 	}
 	if !nonNegFinite(nodeRate) || !nonNegFinite(devRate) || !nonNegFinite(horizon) {
 		return nil, fmt.Errorf("fault: cluster spec %q needs finite, non-negative rates and horizon", spec)
+	}
+	if nodes > MaxSpecRanks || rpn > MaxSpecRanks/nodes {
+		return nil, fmt.Errorf("fault: cluster spec %q has %d x %d ranks, over the cap of %d", spec, nodes, rpn, MaxSpecRanks)
+	}
+	if err := checkEvents(spec, horizon*float64(nodes)*(nodeRate+float64(rpn)*devRate)); err != nil {
+		return nil, err
 	}
 	return RandomCluster(seed, nodeRate, devRate, horizon, nodes, rpn, tiers), nil
 }

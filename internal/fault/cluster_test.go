@@ -143,6 +143,13 @@ func TestParseClusterSpecErrors(t *testing.T) {
 		"nodes=4,horizon=1,dev-rate=Inf",
 		"nodes=4,horizon=NaN",
 		"nodes=4,horizon=Inf",
+		"nodes=4,horizon=1,node-rate=2e4",           // 8e4 outages, over the event cap
+		"nodes=4,horizon=1,dev-rate=2e4",            // 8e4 device events, over the cap
+		"nodes=2,rpn=2,horizon=1,dev-rate=2e4",      // 8e4 events once each rank copies its node's
+		"nodes=1,horizon=1e300,dev-rate=1e300",      // overflowing count
+		"nodes=2048,horizon=1",                      // too many ranks
+		"nodes=64,rpn=64,horizon=1",                 // too many ranks
+		"nodes=9223372036854775807,rpn=2,horizon=1", // rank product overflows int
 	} {
 		if _, err := ParseClusterSpec(spec); err == nil {
 			t.Fatalf("ParseClusterSpec(%q) accepted", spec)
@@ -152,13 +159,14 @@ func TestParseClusterSpecErrors(t *testing.T) {
 		t.Fatalf("none: got (%v, %v)", cs, err)
 	}
 	for _, spec := range []string{
-		"cluster:nodes=2,horizon=1",                // no rank suffix
-		"cluster:nodes=2,horizon=1;rank=9",         // rank out of range
-		"cluster:nodes=2,horizon=1;rank=x",         // bad rank
-		"cluster:;rank=0",                          // empty cluster spec
-		"cluster:nodes=0,horizon=1;rank=0",         // invalid cluster spec
-		"cluster:nodes=2,horizon=1;rank=-1",        // negative rank
-		"cluster:nodes=2,bogus=1,horizon=1;rank=0", // unknown key
+		"cluster:nodes=2,horizon=1",                     // no rank suffix
+		"cluster:nodes=2,horizon=1;rank=9",              // rank out of range
+		"cluster:nodes=2,horizon=1;rank=x",              // bad rank
+		"cluster:;rank=0",                               // empty cluster spec
+		"cluster:nodes=0,horizon=1;rank=0",              // invalid cluster spec
+		"cluster:nodes=2,horizon=1;rank=-1",             // negative rank
+		"cluster:nodes=2,bogus=1,horizon=1;rank=0",      // unknown key
+		"cluster:nodes=2,dev-rate=1e5,horizon=1;rank=0", // over the event cap
 	} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Fatalf("ParseSpec(%q) accepted", spec)

@@ -210,13 +210,21 @@ func Random(seed int64, rate, horizon float64, tiers int) *Schedule {
 	return s
 }
 
+// MaxSpecEvents caps the events a parsed spec may expand to. Specs arrive
+// from flags, replay files and service requests, and Random materializes
+// every event up front, so an unbounded rate*horizon would let one spec
+// exhaust memory. The experiments and tests use at most a few dozen
+// events per schedule.
+const MaxSpecEvents = 1 << 16
+
 // ParseSpec builds a schedule from a flag-style spec string:
 //
 //	rate=2,seed=7,horizon=1.5[,tiers=3]
 //
 // delegating to Random. Empty string and "none" mean no faults (nil
-// schedule). The spec is stored on the schedule, so recordings carry it
-// and replays reconstruct the identical schedule.
+// schedule); a spec whose event count rate*horizon rounds above
+// MaxSpecEvents is rejected. The spec is stored on the schedule, so
+// recordings carry it and replays reconstruct the identical schedule.
 //
 // A "cluster:<cluster spec>;rank=<r>" spec — the form RankSchedule
 // stamps on schedules derived from a ClusterSchedule — reconstructs that
@@ -267,7 +275,21 @@ func ParseSpec(spec string) (*Schedule, error) {
 	if !nonNegFinite(rate) || !nonNegFinite(horizon) {
 		return nil, fmt.Errorf("fault: spec %q needs a finite, non-negative rate and horizon", spec)
 	}
+	if err := checkEvents(spec, rate*horizon); err != nil {
+		return nil, err
+	}
 	return Random(seed, rate, horizon, tiers), nil
+}
+
+// checkEvents rejects a spec expected to expand to more than
+// MaxSpecEvents events. Random's count is int(expected+0.5); it is
+// compared as a float, before the conversion can overflow, and a NaN
+// (an overflowed product times zero) is rejected too.
+func checkEvents(spec string, expected float64) error {
+	if !(math.Floor(expected+0.5) <= MaxSpecEvents) {
+		return fmt.Errorf("fault: spec %q expands to about %.4g events, over the cap of %d", spec, expected, MaxSpecEvents)
+	}
+	return nil
 }
 
 // nonNegFinite reports whether v is finite and >= 0 (false for NaN).

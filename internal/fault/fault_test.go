@@ -68,6 +68,16 @@ func TestParseSpec(t *testing.T) {
 	if s.Seed != 9 || len(s.Events) != 1 {
 		t.Fatalf("spec built %+v", s)
 	}
+	// The event cap: specs just over it (and far over it, without
+	// building anything) are refused; one exactly at it is built.
+	for _, spec := range []string{"rate=1e5,seed=1,horizon=1", "rate=65536.5,horizon=1", "rate=1e300,horizon=1e300"} {
+		if _, err := ParseSpec(spec); err == nil {
+			t.Fatalf("spec %q over the %d-event cap accepted", spec, MaxSpecEvents)
+		}
+	}
+	if s, err := ParseSpec("rate=32768,horizon=2"); err != nil || len(s.Events) != MaxSpecEvents {
+		t.Fatalf("spec at the cap: err %v", err)
+	}
 }
 
 func TestValidate(t *testing.T) {

@@ -17,7 +17,7 @@
 package placement
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/heap"
 )
@@ -39,7 +39,7 @@ const DefaultGranularity = 1 << 20
 // non-positive weight are never chosen — moving them cannot pay off.
 func Knapsack(items []Item, capacity int64, gran int64) []int {
 	var sc knapScratch
-	return sc.solve(items, capacity, gran)
+	return sc.solve(nil, items, capacity, gran)
 }
 
 // knapCand is one filtered DP candidate.
@@ -53,22 +53,25 @@ type knapCand struct {
 // value row, and the taken choice matrix (flattened into one slab) — so
 // a long-lived owner (the Solver) re-runs the DP without allocating.
 // The DP result is independent of stale scratch contents: best is
-// zeroed and every taken row is written before it is read. Only the
-// returned chosen slice is freshly allocated (callers keep it).
+// zeroed and every taken row is written before it is read.
 type knapScratch struct {
 	cands []knapCand
 	best  []float64
 	taken []bool // len(cands) rows of (cells+1) entries
 }
 
-// solve is Knapsack with owner-provided scratch.
-func (sc *knapScratch) solve(items []Item, capacity int64, gran int64) []int {
+// solve is Knapsack with owner-provided scratch. The chosen indices are
+// appended to dst[:0]: a nil dst yields a freshly allocated result the
+// caller may keep (nil when nothing is chosen), a non-nil dst is reused
+// and an empty result keeps its backing array.
+func (sc *knapScratch) solve(dst []int, items []Item, capacity int64, gran int64) []int {
+	chosen := dst[:0]
 	if gran <= 0 {
 		gran = DefaultGranularity
 	}
 	cells := int(capacity / gran)
 	if cells <= 0 || len(items) == 0 {
-		return nil
+		return chosen
 	}
 
 	// Candidate filter: positive weight and fits at all.
@@ -85,7 +88,7 @@ func (sc *knapScratch) solve(items []Item, capacity int64, gran int64) []int {
 	}
 	sc.cands = cands
 	if len(cands) == 0 {
-		return nil
+		return chosen
 	}
 
 	// Fast path: if every positive-weight candidate fits together, the
@@ -97,9 +100,11 @@ func (sc *knapScratch) solve(items []Item, capacity int64, gran int64) []int {
 		total += c.cells
 	}
 	if total <= cells {
-		chosen := make([]int, len(cands))
-		for i, c := range cands {
-			chosen[i] = c.idx // ascending already: the filter preserves item order
+		if chosen == nil {
+			chosen = make([]int, 0, len(cands))
+		}
+		for _, c := range cands {
+			chosen = append(chosen, c.idx) // ascending already: the filter preserves item order
 		}
 		return chosen
 	}
@@ -132,8 +137,8 @@ func (sc *knapScratch) solve(items []Item, capacity int64, gran int64) []int {
 		}
 	}
 
-	// Reconstruct.
-	var chosen []int
+	// Reconstruct, walking candidates backwards (descending item index),
+	// then reverse into ascending order.
 	cap := cells
 	for i := len(cands) - 1; i >= 0; i-- {
 		if taken[i*row+cap] {
@@ -141,6 +146,6 @@ func (sc *knapScratch) solve(items []Item, capacity int64, gran int64) []int {
 			cap -= cands[i].cells
 		}
 	}
-	sort.Ints(chosen)
+	slices.Reverse(chosen)
 	return chosen
 }

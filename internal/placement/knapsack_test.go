@@ -154,22 +154,42 @@ func TestBruteForcePanicsBeyond20(t *testing.T) {
 
 // Solver (memoized DP) properties.
 
+// randInstance draws a random knapsack instance whose sizes straddle
+// granularity multiples and whose weights span negative, zero and
+// positive.
+func randInstance(seed int64) (items []Item, capacity, gran int64) {
+	rng := rand.New(rand.NewSource(seed))
+	n := rng.Intn(12) + 1
+	items = make([]Item, n)
+	for i := range items {
+		items[i] = item(i, int64(rng.Intn(200)+1), float64(rng.Intn(200)-60)/7)
+	}
+	capacity = int64(rng.Intn(500) + 1)
+	gran = int64(rng.Intn(9) + 1)
+	return items, capacity, gran
+}
+
+// sameIndices reports whether two chosen-index lists are equal, treating
+// nil and empty alike.
+func sameIndices(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // TestSolverHitMatchesColdDP: on random instances — including negative
 // weights and granularity-rounding edges — a cache hit must return the
 // same indices a cold DP computes, and Hits/Misses must account every
 // call.
 func TestSolverHitMatchesColdDP(t *testing.T) {
 	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(12) + 1
-		items := make([]Item, n)
-		for i := range items {
-			// Sizes straddle granularity multiples; weights span negative,
-			// zero and positive.
-			items[i] = item(i, int64(rng.Intn(200)+1), float64(rng.Intn(200)-60)/7)
-		}
-		capacity := int64(rng.Intn(500) + 1)
-		gran := int64(rng.Intn(9) + 1)
+		items, capacity, gran := randInstance(seed)
 		s := NewSolver()
 		first := s.Solve(items, capacity, gran)
 		second := s.Solve(items, capacity, gran)
@@ -246,6 +266,46 @@ func TestSolverNegativeAndZeroWeights(t *testing.T) {
 	}
 	if s.Misses != 1 || s.Hits != 2 {
 		t.Fatalf("cache accounting off: %d misses, %d hits", s.Misses, s.Hits)
+	}
+}
+
+// TestSolveDirectMatchesKnapsack: the un-memoized solve returns the cold
+// DP's indices on random instances — one long-lived Solver across all of
+// them, so stale scratch or a stale result buffer would show — and on
+// the all-fit fast path and the empty result, without touching the memo
+// or its counters.
+func TestSolveDirectMatchesKnapsack(t *testing.T) {
+	s := NewSolver()
+	check := func(seed int64) bool {
+		items, capacity, gran := randInstance(seed)
+		return sameIndices(s.SolveDirect(items, capacity, gran), Knapsack(items, capacity, gran))
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+
+	allFit := []Item{item(0, 10, 1), item(1, 10, -1), item(2, 10, 2)}
+	if got := s.SolveDirect(allFit, 1000, 1); !sameIndices(got, []int{0, 2}) {
+		t.Fatalf("all-fit fast path chose %v, want [0 2]", got)
+	}
+	empty := []Item{item(0, 10, -5), item(1, 10, 0)}
+	got := s.SolveDirect(empty, 1000, 1)
+	if len(got) != 0 {
+		t.Fatalf("nonpositive weights chose %v", got)
+	}
+	// An empty result keeps the reused buffer: alternating empty and
+	// non-empty solves allocates nothing.
+	if cap(got) == 0 {
+		t.Fatal("empty result dropped the result buffer")
+	}
+	if a := testing.AllocsPerRun(50, func() {
+		s.SolveDirect(empty, 1000, 1)
+		s.SolveDirect(allFit, 1000, 1)
+	}); a != 0 {
+		t.Fatalf("steady-state SolveDirect allocates %v objects per run", a)
+	}
+	if s.Len() != 0 || s.Hits != 0 || s.Misses != 0 {
+		t.Fatalf("SolveDirect touched the memo: len %d, %d hits, %d misses", s.Len(), s.Hits, s.Misses)
 	}
 }
 

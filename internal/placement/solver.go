@@ -5,30 +5,36 @@ import (
 	"math"
 )
 
-// Solver memoizes Knapsack solutions. Task-parallel graphs are built from
-// a handful of task kinds, so the per-task local search poses the same
-// candidate pattern (sizes, weights, capacity) over and over; the solver
-// keys each call by an exact canonical signature of its inputs and pays a
-// map lookup on repeats instead of re-running the DP. This is what makes
-// the planner's solverSec accounting (20 table builds per kind plus a
-// lookup per item) honest.
+// Solver runs Knapsack on reused scratch, optionally memoized.
 //
-// The signature covers capacity, granularity, and every item's (Size,
-// Float64bits(Weight)) in order. Item Refs are deliberately excluded: the
-// DP's answer is a list of item *indices*, which depends only on the
-// numeric inputs, never on which chunks the indices name. Because keys
-// compare the exact weight bits, a hit returns bit-identical results to a
-// cold DP by construction.
+// Solve and SolveTagged memoize: they key each call by an exact canonical
+// signature of its inputs and pay a map lookup on repeats instead of
+// re-running the DP. They serve the solves that do repeat exactly — the
+// global plan, the tier cascade, the level plans, and Margins re-asking
+// for the global plan's solution. SolveDirect skips the memo: the
+// planner's per-task local search poses a candidate pattern per task
+// whose weights drift with the lookahead window, so most of its patterns
+// are new (on cholesky at scale 64, 24% hit on the first plan and 2-19%
+// on each replan), and building and storing their keys cost several
+// times the DP it saved.
+//
+// The memo signature covers capacity, granularity, and every item's
+// (Size, Float64bits(Weight)) in order. Item Refs are deliberately
+// excluded: the DP's answer is a list of item *indices*, which depends
+// only on the numeric inputs, never on which chunks the indices name.
+// Because keys compare the exact weight bits, a hit returns bit-identical
+// results to a cold DP by construction.
 //
 // A Solver is not safe for concurrent use; give each runner its own.
-// The cache grows with the number of distinct candidate patterns seen,
-// which a runner's fixed kind set keeps small.
 type Solver struct {
 	cache   map[string][]int
 	key     []byte
 	scratch knapScratch // reused DP working set; misses allocate only the result
+	direct  []int       // SolveDirect's reused result buffer
 
-	// Hits and Misses count Solve outcomes, for tests and benchmarks.
+	// Hits and Misses count memoized (Solve, SolveTagged, Margins)
+	// outcomes, for tests, benchmarks, and adaptive sampling's
+	// lookup-vs-DP overhead charge. SolveDirect leaves them alone.
 	Hits, Misses int
 }
 
@@ -40,25 +46,7 @@ func NewSolver() *Solver {
 // Solve returns Knapsack(items, capacity, gran), memoized. The returned
 // slice is shared with the cache: callers must not mutate it.
 func (s *Solver) Solve(items []Item, capacity, gran int64) []int {
-	if s.cache == nil {
-		s.cache = make(map[string][]int)
-	}
-	k := s.key[:0]
-	k = binary.LittleEndian.AppendUint64(k, uint64(capacity))
-	k = binary.LittleEndian.AppendUint64(k, uint64(gran))
-	for _, it := range items {
-		k = binary.LittleEndian.AppendUint64(k, uint64(it.Size))
-		k = binary.LittleEndian.AppendUint64(k, math.Float64bits(it.Weight))
-	}
-	s.key = k
-	if chosen, ok := s.cache[string(k)]; ok {
-		s.Hits++
-		return chosen
-	}
-	s.Misses++
-	chosen := s.scratch.solve(items, capacity, gran)
-	s.cache[string(k)] = chosen
-	return chosen
+	return s.memoized(s.key[:0], items, capacity, gran)
 }
 
 // SolveTagged is Solve with an extra caller-chosen tag folded into the
@@ -67,11 +55,16 @@ func (s *Solver) Solve(items []Item, capacity, gran int64) []int {
 // tier's benefits, and the tag keeps two tiers' coincidentally equal
 // candidate patterns from aliasing each other's cached answers.
 func (s *Solver) SolveTagged(tag uint64, items []Item, capacity, gran int64) []int {
+	k := binary.LittleEndian.AppendUint64(s.key[:0], ^tag) // distinct prefix space from Solve keys
+	return s.memoized(k, items, capacity, gran)
+}
+
+// memoized appends the input signature to the key prefix k, then returns
+// the cached solution or solves and caches it.
+func (s *Solver) memoized(k []byte, items []Item, capacity, gran int64) []int {
 	if s.cache == nil {
 		s.cache = make(map[string][]int)
 	}
-	k := s.key[:0]
-	k = binary.LittleEndian.AppendUint64(k, ^tag) // distinct prefix space from Solve keys
 	k = binary.LittleEndian.AppendUint64(k, uint64(capacity))
 	k = binary.LittleEndian.AppendUint64(k, uint64(gran))
 	for _, it := range items {
@@ -84,9 +77,21 @@ func (s *Solver) SolveTagged(tag uint64, items []Item, capacity, gran int64) []i
 		return chosen
 	}
 	s.Misses++
-	chosen := s.scratch.solve(items, capacity, gran)
+	chosen := s.scratch.solve(nil, items, capacity, gran)
 	s.cache[string(k)] = chosen
 	return chosen
+}
+
+// SolveDirect returns Knapsack(items, capacity, gran) without touching
+// the memo, Hits, or Misses. The result lives in a buffer the Solver
+// reuses: it is valid only until the next SolveDirect call, and callers
+// must not mutate it. Steady-state calls allocate nothing.
+func (s *Solver) SolveDirect(items []Item, capacity, gran int64) []int {
+	if s.direct == nil {
+		s.direct = make([]int, 0, 16)
+	}
+	s.direct = s.scratch.solve(s.direct, items, capacity, gran)
+	return s.direct
 }
 
 // Len returns the number of cached solutions.

@@ -79,6 +79,9 @@ func TestHTTPErrors(t *testing.T) {
 		{`{"workload":"heat","machine":{"nvm":"lat:Inf"}}`, http.StatusBadRequest},
 		{`{"workload":"heat","feedback":"alpha=NaN"}`, http.StatusBadRequest},
 		{`{"workload":"heat","faults":"rate=NaN,horizon=1"}`, http.StatusBadRequest},
+		// A fault spec over the event cap is refused at parse time
+		// instead of materializing its events.
+		{`{"workload":"heat","faults":"rate=1e5,seed=1,horizon=1"}`, http.StatusBadRequest},
 	} {
 		resp, body := postRun(t, ts.URL, tc.body)
 		if resp.StatusCode != tc.want {

@@ -24,10 +24,7 @@ type Builder struct {
 // NewBuilder returns a Builder for a graph with the given name.
 func NewBuilder(name string) *Builder {
 	return &Builder{
-		g: &Graph{
-			Name:    name,
-			usersOf: make(map[ObjectID][]TaskID),
-		},
+		g:            &Graph{Name: name},
 		lastWriter:   make(map[ObjectID]TaskID),
 		readersSince: make(map[ObjectID][]TaskID),
 	}
@@ -42,6 +39,7 @@ func (b *Builder) Object(name string, size int64) ObjectID {
 func (b *Builder) ObjectOpt(name string, size int64, chunkable bool) ObjectID {
 	id := ObjectID(len(b.g.Objects))
 	b.g.Objects = append(b.g.Objects, &Object{ID: id, Name: name, Size: size, Chunkable: chunkable})
+	b.g.usersOf = append(b.g.usersOf, nil)
 	return id
 }
 

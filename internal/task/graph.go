@@ -17,8 +17,9 @@ type Graph struct {
 	// the object. Submission order is the sequential-elision order, so for
 	// any task t, the users before t in this list are exactly the tasks
 	// that dependence-safety requires to finish before the object may be
-	// migrated for t.
-	usersOf map[ObjectID][]TaskID
+	// migrated for t. Indexed densely by object ID; a graph built without
+	// a Builder has none, and every object then reads as unused.
+	usersOf [][]TaskID
 
 	// Kind table, precomputed by Build: kinds in first-appearance order
 	// and each task's index into it. Gives planners a deterministic
@@ -75,14 +76,20 @@ func (g *Graph) Object(id ObjectID) *Object { return g.Objects[id] }
 // Task returns the task with the given ID.
 func (g *Graph) Task(id TaskID) *Task { return g.Tasks[id] }
 
-// Users returns, in submission order, the tasks that touch obj.
-func (g *Graph) Users(obj ObjectID) []TaskID { return g.usersOf[obj] }
+// Users returns, in submission order, the tasks that touch obj; nil for
+// an object without users or outside the graph.
+func (g *Graph) Users(obj ObjectID) []TaskID {
+	if obj < 0 || int(obj) >= len(g.usersOf) {
+		return nil
+	}
+	return g.usersOf[obj]
+}
 
 // PrevUser returns the last task before t (in submission order) that
 // touches obj, and whether one exists. Its completion is the earliest
 // dependence-safe point at which obj may be migrated for task t.
 func (g *Graph) PrevUser(obj ObjectID, t TaskID) (TaskID, bool) {
-	users := g.usersOf[obj]
+	users := g.Users(obj)
 	// Binary search for the first user >= t, then step back.
 	i := sort.Search(len(users), func(i int) bool { return users[i] >= t })
 	if i == 0 {
@@ -94,7 +101,7 @@ func (g *Graph) PrevUser(obj ObjectID, t TaskID) (TaskID, bool) {
 // NextUser returns the first task after t (in submission order) that
 // touches obj, and whether one exists.
 func (g *Graph) NextUser(obj ObjectID, t TaskID) (TaskID, bool) {
-	users := g.usersOf[obj]
+	users := g.Users(obj)
 	i := sort.Search(len(users), func(i int) bool { return users[i] > t })
 	if i == len(users) {
 		return 0, false

@@ -120,6 +120,40 @@ func TestPrevNextUser(t *testing.T) {
 	}
 }
 
+// TestUsersWithoutUsers: an object no task touches, an ID outside the
+// graph, and a zero Graph all read as having no users.
+func TestUsersWithoutUsers(t *testing.T) {
+	b := NewBuilder("unused")
+	used := b.Object("used", 64)
+	unused := b.Object("unused", 64)
+	b.Submit("k", 1, []Access{{Obj: used, Mode: InOut, Loads: 1, MLP: 1}}, nil)
+	g := b.Build()
+	var zero Graph
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		obj  ObjectID
+	}{
+		{"unused object", g, unused},
+		{"object past the graph", g, 7},
+		{"negative object", g, -1},
+		{"zero graph", &zero, 0},
+	} {
+		if u := tc.g.Users(tc.obj); u != nil {
+			t.Errorf("%s: Users = %v, want nil", tc.name, u)
+		}
+		if _, ok := tc.g.PrevUser(tc.obj, 1); ok {
+			t.Errorf("%s: PrevUser found a user", tc.name)
+		}
+		if _, ok := tc.g.NextUser(tc.obj, -1); ok {
+			t.Errorf("%s: NextUser found a user", tc.name)
+		}
+	}
+	if err := zero.Validate(); err != nil {
+		t.Errorf("zero graph: %v", err)
+	}
+}
+
 func TestCriticalPath(t *testing.T) {
 	g := chain(t)
 	cp, path := g.CriticalPath(func(tk *Task) float64 { return tk.CPUSec })
