@@ -7,12 +7,15 @@
 //	tahoe -workload cholesky -policy tahoe -nvm bw:0.5 -dram 128 -workers 8
 //	tahoe -workload cg -cluster 4 -cluster-faults "nodes=4,node-rate=10,seed=7,horizon=0.05"
 //	tahoe -list
+//	tahoe -workload cholesky -scale 64 -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 
 	tahoe "repro"
 	"repro/internal/cliutil"
@@ -36,6 +39,9 @@ func main() {
 		sampling  = flag.String("sampling", "", `profiler sampling, e.g. "interval=100000,jitter=0.4,adaptive" ("" = defaults)`)
 		feedback  = flag.String("feedback", "", `observed-vs-predicted correction loop, e.g. "on" or "on,alpha=0.25,budget=6" ("" = off)`)
 		list      = flag.Bool("list", false, "list workloads and exit")
+
+		cpuprofile = flag.String("cpuprofile", "", "write CPU profile to `file`")
+		memprofile = flag.String("memprofile", "", "write heap profile to `file`")
 	)
 	flag.Parse()
 
@@ -48,6 +54,18 @@ func main() {
 			fmt.Printf("%-10s %-12s %s\n", s.Name, kind, s.Description)
 		}
 		return
+	}
+
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			fail("-cpuprofile: %v", err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fail("-cpuprofile: %v", err)
+		}
+		defer pprof.StopCPUProfile()
 	}
 
 	p, err := cliutil.ParsePolicy(*policy)
@@ -102,6 +120,7 @@ func main() {
 			fail("-cxl is not supported in -cluster mode")
 		}
 		runCluster(*workload, *scale, *clusterN, *rpn, *clFaults, machine, cfg)
+		writeMemProfile(*memprofile)
 		return
 	}
 	if *clFaults != "" {
@@ -152,6 +171,23 @@ func main() {
 			res.FeedbackCorrections, res.FeedbackReplans)
 	}
 	fmt.Printf("DRAM peak   %d MB of %d MB\n", res.DRAMHighWaterBytes>>20, machine.DRAMMB)
+	writeMemProfile(*memprofile)
+}
+
+// writeMemProfile snapshots the live heap after the run.
+func writeMemProfile(path string) {
+	if path == "" {
+		return
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fail("-memprofile: %v", err)
+	}
+	defer f.Close()
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		fail("-memprofile: %v", err)
+	}
 }
 
 // runCluster runs the workload's strong-scaling decomposition across

@@ -103,7 +103,7 @@ func (r *runner) adaptSampling() (boosted int) {
 	// The global knapsack's item list, built by the same code as
 	// computeGlobalPlan's, so the embedded Solve call is a memo lookup for
 	// Tahoe's global plan rather than a fresh DP run.
-	items := r.globalItems(r.adaptItems[:0])
+	items := r.globalItems(r.adaptItems[:0], r.meanTaskSec())
 	r.adaptItems = items
 	if len(items) == 0 {
 		return 0

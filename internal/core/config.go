@@ -296,16 +296,27 @@ func DefaultConfig(h mem.HMS) Config {
 	}
 }
 
+// MaxWorkers and MaxLookahead bound Config.Workers and Config.Lookahead.
+// The runner sizes per-worker state (the free list, the work-stealing
+// deques) from Workers, and the local search's horizon is 8×Lookahead
+// tasks, so an unbounded value from a request body or a flag could ask
+// for gigabytes or overflow the horizon. Both are far above any
+// experiment's (at most 32 of either).
+const (
+	MaxWorkers   = 4096
+	MaxLookahead = 1 << 16
+)
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if err := c.HMS.Validate(); err != nil {
 		return err
 	}
-	if c.Workers < 1 {
-		return fmt.Errorf("core: %d workers", c.Workers)
+	if c.Workers < 1 || c.Workers > MaxWorkers {
+		return fmt.Errorf("core: %d workers (want 1..%d)", c.Workers, MaxWorkers)
 	}
-	if c.Lookahead < 0 {
-		return fmt.Errorf("core: negative lookahead")
+	if c.Lookahead < 0 || c.Lookahead > MaxLookahead {
+		return fmt.Errorf("core: lookahead %d (want 0..%d)", c.Lookahead, MaxLookahead)
 	}
 	if c.Policy == Tahoe && !c.Tech.GlobalSearch && !c.Tech.LocalSearch {
 		return fmt.Errorf("core: Tahoe needs at least one of global/local search")

@@ -373,6 +373,21 @@ func TestConfigValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative lookahead accepted")
 	}
+	// The bounds themselves are valid; one past either is not.
+	cfg = DefaultConfig(h)
+	cfg.Workers, cfg.Lookahead = MaxWorkers, MaxLookahead
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("workers and lookahead at their bounds rejected: %v", err)
+	}
+	cfg.Workers = MaxWorkers + 1
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("workers above MaxWorkers accepted")
+	}
+	cfg = DefaultConfig(h)
+	cfg.Lookahead = MaxLookahead + 1
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("lookahead above MaxLookahead accepted")
+	}
 	cfg = DefaultConfig(h)
 	cfg.Tech.GlobalSearch = false
 	cfg.Tech.LocalSearch = false

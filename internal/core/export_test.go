@@ -1,0 +1,12 @@
+package core
+
+import "repro/internal/task"
+
+// SetPlanAudit makes every plan computed afterwards pass through fn
+// (with the runner and the future task list it was computed from)
+// before the winner is chosen or enforced, and returns a function that
+// removes the hook. Not safe to call while runs are in flight.
+func SetPlanAudit(fn func(r *runner, future []*task.Task, got planResult)) (restore func()) {
+	planAudit = fn
+	return func() { planAudit = nil }
+}

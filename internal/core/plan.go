@@ -17,8 +17,11 @@ import (
 //     index instead of map[ChunkRef]bool;
 //   - the hypothetical resident footprint is an int64 accumulator
 //     maintained on membership change, not a rescan per task;
-//   - the local search's per-task knapsacks run the DP directly on the
-//     solver's reused scratch (placement.Solver.SolveDirect): their
+//   - the local search walks event-driven (localWalk): a step re-weighs
+//     only the chunks whose weight can have moved and applies the
+//     knapsack's all-fit answer as membership flips; a step whose
+//     positive candidates overflow DRAM runs the DP directly on the
+//     solver's reused scratch (placement.Solver.SolveDirect): its
 //     patterns rarely repeat exactly, so a memo would cost more than it
 //     saves. The global and level solves, which do repeat, memoize;
 //   - per-object benefit totals persist across maybePlan calls in
@@ -27,8 +30,9 @@ import (
 //   - a profile change invalidates a kind's cached benefits in O(1), by
 //     bumping the kind's generation; the next refresh expands the
 //     invalidated kinds into dirty objects;
-//   - all scratch (candidate slices, bitsets, the per-task target
-//     backing store) is runner-owned and reused across plans.
+//   - all scratch (candidate slices, bitsets, the walk's per-object
+//     state, the per-task target backing store) lives in plannerState
+//     and is reused across plans.
 //
 // Correctness contract: every plan must be bit-identical (plan kind,
 // target membership, Float64bits of predicted and solverSec) to the
@@ -52,6 +56,8 @@ func (s planSet) has(ix int) bool {
 }
 
 func (s planSet) set(ix int) { s[ix>>6] |= 1 << uint(ix&63) }
+
+func (s planSet) unset(ix int) { s[ix>>6] &^= 1 << uint(ix&63) }
 
 func (s planSet) clearAll() {
 	for i := range s {
@@ -195,10 +201,27 @@ type plannerState struct {
 	kindDirty []bool
 	dirtyKind []int32
 
-	// Local-search scratch: usesAhead's per-object cursors and each
-	// object's average benefit per future use, both reset by every plan.
-	aheadLo, aheadHi []int32
-	perUse           []float64
+	// Local-walk state, reset by every local plan (see localWalk): each
+	// object's average benefit per future use, its users in the walk's
+	// lookahead window, and its chunks in the hypothetical residency;
+	// the partly-resident objects (0 < resCnt < chunks; removed lazily);
+	// the objects to re-weigh at the next step and the membership flips
+	// of the current one. chunkCells is each chunk's DP size in cells.
+	perUse     []float64
+	ahead      []int32
+	resCnt     []int32
+	partly     []task.ObjectID
+	inPartly   []bool
+	reweigh    []task.ObjectID
+	flips      []int
+	chunkCells []int
+	// localDP counts the last local plan's steps whose positive
+	// candidates overflowed DRAM and went to the knapsack DP.
+	localDP int
+
+	// kindDur is each kind's duration estimate for the current plan
+	// (estTaskSec), filled once per plan by fillKindDur.
+	kindDur []float64
 
 	solver *placement.Solver
 
@@ -214,6 +237,13 @@ type plannerState struct {
 	keep     planSet // proactiveScan window union
 	seen     planSet // proactiveScan dedup
 	wants    []wantPromo
+	// skip[i], for a started task i, bounds a run of started tasks: all
+	// of [i, skip[i]) have started (unstartedFrom). Allocated by the
+	// first proactive scan.
+	skip []int32
+	// victims[t] is makeRoomOn's candidate scratch for tier t; its
+	// recursion only descends, so each tier's buffer has one user.
+	victims [][]victim
 
 	// Plan storage, overwritten by the next plan: the global target, the
 	// per-task view table and its flat backing buffer (consecutive tasks
@@ -253,9 +283,13 @@ func newPlannerState(r *runner) *plannerState {
 		totals:     make([]float64, nobj),
 		objDirty:   make([]bool, nobj),
 		kindDirty:  make([]bool, nk),
-		aheadLo:    make([]int32, nobj),
-		aheadHi:    make([]int32, nobj),
 		perUse:     make([]float64, nobj),
+		ahead:      make([]int32, nobj),
+		resCnt:     make([]int32, nobj),
+		inPartly:   make([]bool, nobj),
+		chunkCells: make([]int, total),
+		kindDur:    make([]float64, nk),
+		victims:    make([][]victim, st.NumTiers()),
 		solver:     placement.NewSolver(),
 		objMark:    make([]bool, nobj),
 		kindMark:   make([]bool, nk),
@@ -266,6 +300,7 @@ func newPlannerState(r *runner) *plannerState {
 	}
 	for ix := 0; ix < total; ix++ {
 		p.chunkSize[ix] = st.ChunkSize(st.RefAt(ix))
+		p.chunkCells[ix] = placement.Cells(p.chunkSize[ix], placement.DefaultGranularity)
 	}
 	// Use tables: count, then fill flat, preserving (task, access) order.
 	counts := make([]int32, nobj)
@@ -453,16 +488,29 @@ func (r *runner) overlapSecAt(from, to task.TaskID, meanSec float64) float64 {
 	return float64(gap) / float64(r.cfg.Workers) * meanSec
 }
 
+// fillKindDur caches, for one plan, each kind's duration estimate: its
+// profiled mean, or the all-kind mean while the kind has none. A plan
+// changes no profile, so estTaskSec reads the table instead of a
+// string-keyed profiler lookup per task.
+func (p *plannerState) fillKindDur(r *runner) {
+	mean := r.meanTaskSec()
+	for k, kind := range p.kindNames {
+		d, ok := r.profiler.MeanDuration(kind)
+		if !ok {
+			d = mean
+		}
+		p.kindDur[k] = d
+	}
+}
+
 // estTaskSec predicts a task's duration under a target set: the profiled
 // mean minus the modeled benefit of every fully targeted object it
-// touches (the bitset equivalent of targetFraction == 1).
+// touches (the bitset equivalent of targetFraction == 1). The plan
+// calling it must have run fillKindDur.
 func (r *runner) estTaskSec(t *task.Task, target planSet) float64 {
-	dur, ok := r.profiler.MeanDuration(t.Kind)
-	if !ok {
-		dur = r.meanTaskSec()
-	}
 	p := r.pt
 	k := p.kindOf[t.ID]
+	dur := p.kindDur[k]
 	for _, a := range t.Accesses {
 		if target.containsRange(r.st.ChunkBase(a.Obj), r.st.Chunks(a.Obj)) {
 			dur -= p.benefit(r, k, a.Obj)
@@ -474,32 +522,6 @@ func (r *runner) estTaskSec(t *task.Task, target planSet) float64 {
 	return dur
 }
 
-// usesAhead counts obj's uses within (from, from+horizon]. The local
-// search asks with a non-decreasing from, so each object keeps a pair of
-// cursors into its user list, (aheadLo, aheadHi] = the users in the last
-// window asked about, that only move forward; aheadLo < 0 means not yet
-// asked this plan, and the first ask binary-searches (as does an ask
-// that steps back, which the local search never makes). A plan's cursor
-// work is thus bounded by its objects' user counts.
-func (r *runner) usesAhead(obj task.ObjectID, from, horizon task.TaskID) int {
-	p := r.pt
-	users := r.g.Users(obj)
-	lo, hi := int(p.aheadLo[obj]), int(p.aheadHi[obj])
-	if lo < 0 || (lo > 0 && users[lo-1] > from) {
-		lo = sort.Search(len(users), func(i int) bool { return users[i] > from })
-		hi = lo
-	}
-	for lo < len(users) && users[lo] <= from {
-		lo++
-	}
-	hi = max(hi, lo)
-	for hi < len(users) && users[hi] <= from+horizon {
-		hi++
-	}
-	p.aheadLo[obj], p.aheadHi[obj] = int32(lo), int32(hi)
-	return hi - lo
-}
-
 // computeGlobalPlan runs the cross-phase (whole-graph) search: one
 // knapsack over every object's chunks, weighing each chunk by the total
 // remaining benefit minus a one-time migration cost, then predicts the
@@ -507,7 +529,9 @@ func (r *runner) usesAhead(obj task.ObjectID, from, horizon task.TaskID) int {
 func (r *runner) computeGlobalPlan(future []*task.Task) planResult {
 	p := r.pt
 	p.refreshTotals(r)
-	items := r.globalItems(p.items[:0])
+	p.fillKindDur(r)
+	meanSec := r.meanTaskSec()
+	items := r.globalItems(p.items[:0], meanSec)
 	p.items = items
 	chosen := p.solver.Solve(items, r.cfg.HMS.DRAMCapacity, placement.DefaultGranularity)
 	target := p.globalBuf
@@ -528,7 +552,7 @@ func (r *runner) computeGlobalPlan(future []*task.Task) planResult {
 			copySec += float64(items[i].Size) / r.cfg.HMS.CopyBW
 		}
 	}
-	hide := float64(min(len(future), r.cfg.Lookahead)) * r.meanTaskSec() / float64(r.cfg.Workers)
+	hide := float64(min(len(future), r.cfg.Lookahead)) * meanSec / float64(r.cfg.Workers)
 	if exposed := copySec - hide; exposed > 0 {
 		predicted += exposed
 	}
@@ -539,9 +563,13 @@ func (r *runner) computeGlobalPlan(future []*task.Task) planResult {
 // globalItems appends the global knapsack's items to items: every chunk
 // of every object with a nonzero refreshed total, weighing the object's
 // remaining benefit split over its chunks minus a one-time migration
-// cost for chunks not yet on the fastest tier.
-func (r *runner) globalItems(items []placement.Item) []placement.Item {
+// cost for chunks not yet on the fastest tier. meanSec is the plan's
+// mean task duration.
+func (r *runner) globalItems(items []placement.Item, meanSec float64) []placement.Item {
 	p := r.pt
+	// The promotion is enqueued at plan time, so the hiding window runs
+	// from the frontier to the object's first future user.
+	from := r.frontier() - 1
 	for _, o := range r.g.Objects {
 		benefit := p.totals[o.ID]
 		if benefit == 0 {
@@ -550,17 +578,16 @@ func (r *runner) globalItems(items []placement.Item) []placement.Item {
 		refs := r.st.Refs(o.ID)
 		per := benefit / float64(len(refs))
 		base := r.st.ChunkBase(o.ID)
+		firstUse := task.TaskID(len(r.g.Tasks))
+		if nu, ok := r.g.NextUser(o.ID, from); ok {
+			firstUse = nu
+		}
+		overlap := r.overlapSecAt(from, firstUse, meanSec)
 		for i, ref := range refs {
 			size := p.chunkSize[base+i]
 			cost := 0.0
-			if r.st.Tier(ref) != r.fastTier {
-				// The promotion is enqueued at plan time; the first future
-				// user bounds the hiding window.
-				firstUse := task.TaskID(len(r.g.Tasks))
-				if nu, ok := r.g.NextUser(o.ID, r.frontier()-1); ok {
-					firstUse = nu
-				}
-				cost = r.params.MigrationCost(size, r.overlapSec(r.frontier()-1, firstUse))
+			if r.st.TierAt(base+i) != r.fastTier {
+				cost = r.params.MigrationCost(size, overlap)
 			}
 			items = append(items, placement.Item{Ref: ref, Size: size, Weight: per - cost})
 		}
@@ -607,44 +634,27 @@ func mergeObjs(dst, a, b []task.ObjectID) []task.ObjectID {
 // is its object's average per-use benefit times the object's uses within
 // the lookahead horizon, minus migration and eviction costs for
 // non-residents — the paper's task-by-task decision with known DRAM
-// contents. The hypothetical residency is a bitset plus an int64 byte
-// accumulator. The per-task knapsacks bypass the solver's memo
-// (SolveDirect): their weights change with each task's lookahead window,
-// so exact repeats are too rare to pay for the keys.
+// contents.
+//
+// The walk is event-driven (localWalk): it re-weighs only the chunks
+// whose weight can have changed since the previous task, and when every
+// positive candidate fits — the knapsack's all-fit case, which is nearly
+// every task — applies the resulting membership flips directly. Only a
+// step whose positive candidates overflow DRAM builds the full candidate
+// list and runs the DP (Solver.SolveDirect, bypassing the memo).
 func (r *runner) computeLocalPlan(future []*task.Task) planResult {
 	p := r.pt
 	p.refreshTotals(r)
-	capacity := r.cfg.HMS.DRAMCapacity
-
-	resident := p.resident
-	resident.clearAll()
-	resObjs := p.resObjs[:0]
-	var residentBytes int64
-	for _, o := range r.g.Objects {
-		base := r.st.ChunkBase(o.ID)
-		in := false
-		for i, ref := range r.st.Refs(o.ID) {
-			if r.st.Tier(ref) == r.fastTier {
-				resident.set(base + i)
-				residentBytes += p.chunkSize[base+i]
-				in = true
-			}
-		}
-		if in {
-			resObjs = append(resObjs, o.ID)
-		}
-	}
-
-	horizon := task.TaskID(8 * r.cfg.Lookahead)
-	if horizon < 64 {
-		horizon = 64
-	}
-	for i := range p.aheadLo {
-		p.aheadLo[i] = -1
+	p.fillKindDur(r)
+	w := localWalk{r: r, p: p, resident: p.resident, capacity: r.cfg.HMS.DRAMCapacity,
+		meanSec: r.meanTaskSec()}
+	w.cells = int(w.capacity / placement.DefaultGranularity)
+	w.horizon = 8 * r.cfg.Lookahead
+	if w.horizon < 64 {
+		w.horizon = 64
 	}
 	// The walk changes neither the totals, the future use counts, nor the
-	// profile, so per-use benefits and the mean task duration are fixed
-	// for the whole plan.
+	// profile, so per-use benefits are fixed for the whole plan.
 	for obj, n := range p.futureUses {
 		pu := 0.0
 		if n > 0 {
@@ -652,111 +662,377 @@ func (r *runner) computeLocalPlan(future []*task.Task) planResult {
 		}
 		p.perUse[obj] = pu
 	}
-	meanSec := r.meanTaskSec()
+	w.reset()
 
 	if len(p.perTask) < len(r.g.Tasks) {
 		p.perTask = make([]planSet, len(r.g.Tasks))
 	}
 	perTask := p.perTask
-	for i := range perTask {
-		perTask[i] = nil
-	}
+	clear(perTask)
 	p.taskBuf = p.taskBuf[:0]
 	var prev planSet // last committed distinct target
 
-	for i := range p.kindMark {
-		p.kindMark[i] = false
-	}
+	clear(p.kindMark)
 	predicted := 0.0
 	items := 0
 	kinds := 0
-	for _, t := range future {
+	for step, t := range future {
 		if k := p.kindOf[t.ID]; !p.kindMark[k] {
 			p.kindMark[k] = true
 			kinds++
 		}
-
-		// Candidate objects, ascending: the task's own merged with the
-		// incumbents (resObjs is kept sorted; the task's are few).
-		acc := p.accObjs[:0]
-		for _, a := range t.Accesses {
-			if !p.objMark[a.Obj] {
-				p.objMark[a.Obj] = true
-				acc = append(acc, a.Obj)
-			}
-		}
-		for _, obj := range acc {
-			p.objMark[obj] = false
-		}
-		insertionSortObjs(acc)
-		p.accObjs = acc
-		candObjs := mergeObjs(p.candObjs[:0], acc, resObjs)
-		p.candObjs = candObjs
-
-		cand := p.items[:0]
-		for _, obj := range candObjs {
-			pu := p.perUse[obj]
-			if pu <= 0 {
-				continue
-			}
-			refs := r.st.Refs(obj)
-			each := pu * float64(r.usesAhead(obj, t.ID, horizon)) / float64(len(refs))
-			base := r.st.ChunkBase(obj)
-			for i, ref := range refs {
-				size := p.chunkSize[base+i]
-				w := each
-				if !resident.has(base + i) {
-					from := task.TaskID(-1)
-					if pu2, ok := r.g.PrevUser(obj, t.ID); ok {
-						from = pu2
-					}
-					w -= r.params.MigrationCost(size, r.overlapSecAt(from, t.ID, meanSec))
-					if residentBytes+size > capacity {
-						// Paper's extra_COST: demote just enough.
-						w -= float64(size) / r.cfg.HMS.CopyBW
-					}
-				}
-				cand = append(cand, placement.Item{Ref: ref, Size: size, Weight: w})
-			}
-		}
-		p.items = cand
-		items += len(cand)
-		chosen := p.solver.SolveDirect(cand, capacity, placement.DefaultGranularity)
-
-		// The knapsack owns the residency decision: incumbents it did not
-		// re-choose are hypothetically demoted. chosen is ascending over
-		// cand, and cand is (object, chunk)-ascending, so resObjs stays
-		// sorted and the byte accumulator matches the reference's recount
-		// exactly (integer sum over the same set).
-		resident.clearAll()
-		residentBytes = 0
-		resObjs = resObjs[:0]
-		last := task.ObjectID(-1)
-		for _, i := range chosen {
-			it := &cand[i]
-			resident.set(r.st.ChunkIndex(it.Ref))
-			residentBytes += it.Size
-			if it.Ref.Obj != last {
-				last = it.Ref.Obj
-				resObjs = append(resObjs, last)
-			}
+		w.slide(int(t.ID))
+		same := false
+		if step == 0 {
+			items += w.solve(t)
+		} else if n, fits := w.weigh(t); fits {
+			items += n
+			same = len(p.flips) == 0
+			w.applyFlips()
+		} else {
+			p.localDP++
+			items += w.solve(t)
+			same = prev.equal(w.resident)
 		}
 
 		// Commit the target view, aliasing runs of identical targets.
-		if prev != nil && prev.equal(resident) {
-			perTask[t.ID] = prev
-		} else {
+		if !same {
 			off := len(p.taskBuf)
-			p.taskBuf = append(p.taskBuf, resident...)
+			p.taskBuf = append(p.taskBuf, w.resident...)
 			prev = planSet(p.taskBuf[off : off+p.words])
-			perTask[t.ID] = prev
 		}
-		predicted += r.estTaskSec(t, resident)
+		perTask[t.ID] = prev
+		predicted += r.estTaskSec(t, w.resident)
 	}
-	p.resObjs = resObjs
+	w.finish()
 	predicted /= float64(r.cfg.Workers)
 	return planResult{kind: "local", perTask: perTask, predicted: predicted,
 		solverSec: float64(kinds)*20*solverItemSec + float64(items)*solverLookupSec}
+}
+
+// localWalk is one local plan's walk state. Its invariant, after every
+// step: resident is exactly the set the knapsack chose for the step's
+// task (bytes, resCells and resChunks are integer sums over it), and
+// every resident chunk either still passes the knapsack's candidate
+// filter at its resident weight or belongs to an object queued in
+// p.reweigh for the next step.
+//
+// Why re-weighing only some chunks reproduces the full per-task solve
+// bit for bit: a resident chunk's weight, perUse·ahead/chunks, changes
+// only when its object's window count moves, and the walk re-weighs
+// exactly those residents, plus chunks that just became resident (they
+// were weighed as newcomers). A non-resident chunk's weight depends on
+// the task and the resident bytes, so every non-resident candidate — the
+// task's own objects and the partly-resident objects' remaining chunks —
+// is re-weighed every step. Every weight comes from the same expressions
+// as the full candidate build (solve), and when the positive candidates
+// fit, the knapsack's answer is exactly that set (its all-fit case), so
+// the flips reproduce it; otherwise solve runs the full build and the DP.
+type localWalk struct {
+	r        *runner
+	p        *plannerState
+	resident planSet
+
+	capacity int64
+	cells    int // the knapsack's capacity in DP cells
+	horizon  int
+	meanSec  float64
+
+	// lo, hi bound the window (lo, hi] that p.ahead counts: the users of
+	// each object among tasks lo+1..hi, started or not.
+	lo, hi int
+
+	// Sums over the residency. Residents are chosen, so their objects
+	// are candidates (positive per-use benefit), and resChunks is the
+	// residents' share of a step's candidate count.
+	bytes     int64 // resident bytes
+	resCells  int   // resident DP cells
+	resChunks int   // chunks of objects with a resident chunk
+}
+
+// reset loads the heap's fastest-tier residency and empties the window
+// and the per-object walk state.
+func (w *localWalk) reset() {
+	r, p := w.r, w.p
+	w.resident.clearAll()
+	w.bytes = 0
+	for ix := range p.chunkSize {
+		if r.st.TierAt(ix) == r.fastTier {
+			w.resident.set(ix)
+			w.bytes += p.chunkSize[ix]
+		}
+	}
+	clear(p.ahead)
+	clear(p.resCnt)
+	for _, obj := range p.partly {
+		p.inPartly[obj] = false
+	}
+	p.partly = p.partly[:0]
+	p.localDP = 0
+	w.lo, w.hi = -1, -1
+}
+
+// finish releases the marks still held by the next-step queue.
+func (w *localWalk) finish() {
+	p := w.p
+	for _, obj := range p.reweigh {
+		p.objMark[obj] = false
+	}
+	p.reweigh = p.reweigh[:0]
+}
+
+// queue adds obj to the next weighing, once.
+func (w *localWalk) queue(obj task.ObjectID) {
+	p := w.p
+	if !p.objMark[obj] {
+		p.objMark[obj] = true
+		p.reweigh = append(p.reweigh, obj)
+	}
+}
+
+// slide moves the window to (t, t+horizon], clamped to the graph:
+// tasks in (lo, min(t, hi)] leave it and tasks in (max(hi, t),
+// t+horizon] join it. Each task counts once per distinct object, and a
+// resident object whose count moves is queued for re-weighing.
+func (w *localWalk) slide(t int) {
+	newHi := min(t+w.horizon, len(w.r.g.Tasks)-1)
+	if w.lo < 0 {
+		w.lo, w.hi = t, t
+	}
+	for id := w.lo + 1; id <= min(t, w.hi); id++ {
+		w.count(id, -1)
+	}
+	for id := max(w.hi, t) + 1; id <= newHi; id++ {
+		w.count(id, 1)
+	}
+	w.lo, w.hi = t, newHi
+}
+
+func (w *localWalk) count(id int, d int32) {
+	p := w.p
+	t := w.r.g.Task(task.TaskID(id))
+	for i, a := range t.Accesses {
+		if !firstTouch(t, i) {
+			continue
+		}
+		p.ahead[a.Obj] += d
+		if p.resCnt[a.Obj] > 0 {
+			w.queue(a.Obj)
+		}
+	}
+}
+
+// each is a chunk of obj's resident weight: the object's per-use benefit
+// times its uses in the window, split over its chunks.
+func (w *localWalk) each(obj task.ObjectID, pu float64) float64 {
+	return pu * float64(w.p.ahead[obj]) / float64(w.r.st.Chunks(obj))
+}
+
+// overlap is the time available to hide obj's promotion for task t: the
+// distance from obj's previous user (or the run's start) to t.
+func (w *localWalk) overlap(obj task.ObjectID, t task.TaskID) float64 {
+	from := task.TaskID(-1)
+	if pu, ok := w.r.g.PrevUser(obj, t); ok {
+		from = pu
+	}
+	return w.r.overlapSecAt(from, t, w.meanSec)
+}
+
+// newcomer is a non-resident chunk's weight: its resident weight less
+// the migration cost its overlap cannot hide, and less the paper's
+// extra_COST (demote just enough) when it would not fit beside the
+// residents.
+func (w *localWalk) newcomer(each float64, size int64, overlap float64) float64 {
+	wt := each
+	wt -= w.r.params.MigrationCost(size, overlap)
+	if w.bytes+size > w.capacity {
+		wt -= float64(size) / w.r.cfg.HMS.CopyBW
+	}
+	return wt
+}
+
+// candidate reports whether the knapsack considers a chunk at weight wt.
+func (w *localWalk) candidate(ix int, wt float64) bool {
+	return placement.Admissible(wt, w.p.chunkSize[ix], w.p.chunkCells[ix], w.cells)
+}
+
+// weigh re-weighs task t's step: the queued objects (residents whose
+// window count moved, chunks that became resident last step), t's own
+// objects and the partly-resident objects. It records the membership
+// flips in p.flips and returns the step's candidate-chunk count and
+// whether every positive candidate fits, so the flips are the knapsack's
+// answer. It reads the residency the previous step left.
+func (w *localWalk) weigh(t *task.Task) (items int, fits bool) {
+	r, p := w.r, w.p
+	for _, a := range t.Accesses {
+		w.queue(a.Obj)
+	}
+	k := 0
+	for _, obj := range p.partly {
+		if c := int(p.resCnt[obj]); c == 0 || c == r.st.Chunks(obj) {
+			p.inPartly[obj] = false
+			continue
+		}
+		p.partly[k] = obj
+		k++
+		w.queue(obj)
+	}
+	p.partly = p.partly[:k]
+
+	items = w.resChunks
+	cells := w.resCells
+	flips := p.flips[:0]
+	for _, obj := range p.reweigh {
+		p.objMark[obj] = false
+		base, n := r.st.ChunkBase(obj), r.st.Chunks(obj)
+		pu := p.perUse[obj]
+		if pu <= 0 {
+			continue // not a candidate, so never chosen and never resident
+		}
+		if p.resCnt[obj] == 0 {
+			items += n // one of t's objects joins the candidates
+		}
+		each := w.each(obj, pu)
+		overlap, haveOverlap := 0.0, false
+		for ix := base; ix < base+n; ix++ {
+			if w.resident.has(ix) {
+				if !w.candidate(ix, each) {
+					flips = append(flips, ix)
+					cells -= p.chunkCells[ix]
+				}
+				continue
+			}
+			if !haveOverlap {
+				overlap, haveOverlap = w.overlap(obj, t.ID), true
+			}
+			if w.candidate(ix, w.newcomer(each, p.chunkSize[ix], overlap)) {
+				flips = append(flips, ix)
+				cells += p.chunkCells[ix]
+			}
+		}
+	}
+	p.reweigh = p.reweigh[:0]
+	p.flips = flips
+	return items, cells <= w.cells
+}
+
+// applyFlips toggles the flipped chunks' membership, keeping the running
+// sums and the partly-resident list, and queues the objects that gained
+// chunks for re-weighing as residents next step.
+func (w *localWalk) applyFlips() {
+	r, p := w.r, w.p
+	for _, ix := range p.flips {
+		obj := r.st.RefAt(ix).Obj
+		n := r.st.Chunks(obj)
+		if w.resident.has(ix) {
+			w.resident.unset(ix)
+			w.bytes -= p.chunkSize[ix]
+			w.resCells -= p.chunkCells[ix]
+			p.resCnt[obj]--
+			if p.resCnt[obj] == 0 {
+				w.resChunks -= n
+			}
+		} else {
+			w.resident.set(ix)
+			w.bytes += p.chunkSize[ix]
+			w.resCells += p.chunkCells[ix]
+			if p.resCnt[obj] == 0 {
+				w.resChunks += n
+			}
+			p.resCnt[obj]++
+			w.queue(obj)
+		}
+		if c := int(p.resCnt[obj]); c > 0 && c < n && !p.inPartly[obj] {
+			p.inPartly[obj] = true
+			p.partly = append(p.partly, obj)
+		}
+	}
+}
+
+// solve is the full per-task step: build t's candidate list in ascending
+// (object, chunk) order — t's objects merged with the residents, read
+// off the bitset — solve it, and rebuild the walk state from the chosen
+// set. Every resident is queued for re-weighing next step. It returns
+// the candidate count.
+func (w *localWalk) solve(t *task.Task) int {
+	r, p := w.r, w.p
+	resObjs := p.resObjs[:0]
+	for wi, word := range w.resident {
+		for word != 0 {
+			obj := r.st.RefAt(wi<<6 + bits.TrailingZeros64(word)).Obj
+			if len(resObjs) == 0 || resObjs[len(resObjs)-1] != obj {
+				resObjs = append(resObjs, obj)
+			}
+			word &= word - 1
+		}
+	}
+	acc := p.accObjs[:0]
+	for i, a := range t.Accesses {
+		if firstTouch(t, i) {
+			acc = append(acc, a.Obj)
+		}
+	}
+	insertionSortObjs(acc)
+	p.accObjs = acc
+	candObjs := mergeObjs(p.candObjs[:0], acc, resObjs)
+	p.candObjs = candObjs
+
+	cand := p.items[:0]
+	for _, obj := range candObjs {
+		pu := p.perUse[obj]
+		if pu <= 0 {
+			continue
+		}
+		refs := r.st.Refs(obj)
+		each := w.each(obj, pu)
+		base := r.st.ChunkBase(obj)
+		overlap, haveOverlap := 0.0, false
+		for i, ref := range refs {
+			size := p.chunkSize[base+i]
+			wt := each
+			if !w.resident.has(base + i) {
+				if !haveOverlap {
+					overlap, haveOverlap = w.overlap(obj, t.ID), true
+				}
+				wt = w.newcomer(each, size, overlap)
+			}
+			cand = append(cand, placement.Item{Ref: ref, Size: size, Weight: wt})
+		}
+	}
+	p.items = cand
+	chosen := p.solver.SolveDirect(cand, w.capacity, placement.DefaultGranularity)
+
+	// The knapsack owns the residency decision: incumbents it did not
+	// re-choose are hypothetically demoted.
+	for _, obj := range resObjs {
+		p.resCnt[obj] = 0
+	}
+	p.resObjs = resObjs
+	w.resident.clearAll()
+	w.bytes, w.resCells, w.resChunks = 0, 0, 0
+	for _, i := range chosen {
+		it := &cand[i]
+		ix := r.st.ChunkIndex(it.Ref)
+		w.resident.set(ix)
+		w.bytes += it.Size
+		w.resCells += p.chunkCells[ix]
+		if p.resCnt[it.Ref.Obj] == 0 {
+			w.resChunks += r.st.Chunks(it.Ref.Obj)
+			w.queue(it.Ref.Obj)
+		}
+		p.resCnt[it.Ref.Obj]++
+	}
+	for _, obj := range p.partly {
+		p.inPartly[obj] = false
+	}
+	p.partly = p.partly[:0]
+	for _, obj := range p.reweigh {
+		if int(p.resCnt[obj]) < r.st.Chunks(obj) {
+			p.inPartly[obj] = true
+			p.partly = append(p.partly, obj)
+		}
+	}
+	return len(cand)
 }
 
 // computeLevelPlan is the PhaseBased comparator: one knapsack per
@@ -766,6 +1042,7 @@ func (r *runner) computeLocalPlan(future []*task.Task) planResult {
 // bitset representation, the benefit cache, and the memoizing solver.
 func (r *runner) computeLevelPlan(future []*task.Task) planResult {
 	p := r.pt
+	p.fillKindDur(r)
 	levels := r.levels
 	maxLevel := 0
 	for _, lv := range levels {

@@ -104,9 +104,11 @@ func matchesChunkSet(r *runner, m chunkSet, s planSet) bool {
 }
 
 func TestPlannerEquivalence(t *testing.T) {
-	defer func() { planAudit = nil }()
-
 	var audits, globals, locals, phases int
+	// Local-walk branches the soup must reach: steps whose positive
+	// candidates overflow DRAM (the DP), partly-resident objects, and
+	// window jumps over started tasks.
+	var dpSteps, partlySeen, jumpsSeen int
 	failures := 0
 	fail := func(format string, args ...any) {
 		failures++
@@ -116,7 +118,7 @@ func TestPlannerEquivalence(t *testing.T) {
 	}
 	scenario := ""
 
-	planAudit = func(r *runner, future []*task.Task, got planResult) {
+	defer SetPlanAudit(func(r *runner, future []*task.Task, got planResult) {
 		audits++
 		switch got.kind {
 		case "global":
@@ -134,6 +136,13 @@ func TestPlannerEquivalence(t *testing.T) {
 			}
 		case "local":
 			locals++
+			dpSteps += r.pt.localDP
+			if localJumps(future) {
+				jumpsSeen++
+			}
+			if partlyResident(r, future, got) {
+				partlySeen++
+			}
 			ref := r.refComputeLocalPlan(future)
 			if math.Float64bits(got.predicted) != math.Float64bits(ref.predicted) {
 				fail("%s: local predicted %v != ref %v", scenario, got.predicted, ref.predicted)
@@ -177,7 +186,7 @@ func TestPlannerEquivalence(t *testing.T) {
 		default:
 			fail("%s: unexpected plan kind %q", scenario, got.kind)
 		}
-	}
+	})()
 
 	run := func(g *task.Graph, cfg Config) Result {
 		t.Helper()
@@ -265,6 +274,138 @@ func TestPlannerEquivalence(t *testing.T) {
 	}
 	if chunkedSeen == 0 {
 		t.Error("coverage hole: no chunked scenario")
+	}
+	t.Logf("%d local plans: %d DP steps, %d partly-resident, %d jumping", locals, dpSteps, partlySeen, jumpsSeen)
+	if dpSteps == 0 {
+		t.Error("coverage hole: no local step overflowed DRAM into the DP")
+	}
+	if partlySeen == 0 {
+		t.Error("coverage hole: no local plan kept an object partly resident")
+	}
+	if jumpsSeen == 0 {
+		t.Error("coverage hole: no local walk jumped over started tasks")
+	}
+}
+
+// localJumps reports whether a local walk over future steps past started
+// tasks after its first step (future is ascending).
+func localJumps(future []*task.Task) bool {
+	for i := 1; i < len(future); i++ {
+		if future[i].ID > future[i-1].ID+1 {
+			return true
+		}
+	}
+	return false
+}
+
+// partlyResident reports whether some step of a local plan, before its
+// last, targets some but not all of an object's chunks — so the next
+// step re-weighs a partly-resident object.
+func partlyResident(r *runner, future []*task.Task, got planResult) bool {
+	for _, t := range future[:max(len(future)-1, 0)] {
+		target := got.perTask[t.ID]
+		for _, o := range r.g.Objects {
+			base, n := r.st.ChunkBase(o.ID), r.st.Chunks(o.ID)
+			in := 0
+			for ix := base; ix < base+n; ix++ {
+				if target.has(ix) {
+					in++
+				}
+			}
+			if in > 0 && in < n {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// sparseGraph has many objects, most touched by a few scattered tasks,
+// so an object's users within a lookahead window often fall to zero —
+// the case where a resident's weight moves only because started tasks
+// left the window.
+func sparseGraph(seed int64) *task.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := task.NewBuilder(fmt.Sprintf("sparse%d", seed))
+	objs := make([]task.ObjectID, 24)
+	for i := range objs {
+		objs[i] = b.ObjectOpt("o", int64(rng.Intn(12)+1)*mem.MB, rng.Intn(2) == 0)
+	}
+	kinds := []string{"ka", "kb", "kc"}
+	for i := 0; i < 400; i++ {
+		var acc []task.Access
+		for j := 0; j <= rng.Intn(2); j++ {
+			// Popularity falls off steeply: low IDs are hot, high IDs rare.
+			o := objs[int(float64(len(objs))*math.Pow(rng.Float64(), 3))]
+			if len(acc) > 0 && acc[0].Obj == o {
+				continue
+			}
+			acc = append(acc, task.Access{Obj: o, Mode: task.AccessMode(rng.Intn(3)),
+				Loads: int64(rng.Intn(400000)), Stores: int64(rng.Intn(200000)), MLP: 4})
+		}
+		b.Submit(kinds[rng.Intn(len(kinds))], rng.Float64()*1e-4, acc, nil)
+	}
+	return b.Build()
+}
+
+// TestLocalWalkMatchesReferenceOnScatteredStarts drives the local search
+// directly on frozen states whose started tasks are scattered past the
+// frontier, as out-of-order execution leaves them: the walk jumps over
+// started runs both shorter and longer than its horizon, and a
+// resident's window count can fall to zero only through started tasks
+// leaving the window. Each plan must match the reference bit for bit.
+func TestLocalWalkMatchesReferenceOnScatteredStarts(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		g := sparseGraph(seed)
+		if seed%3 == 0 {
+			g = equivGraph(seed)
+		}
+		h := mem.NewHMS(mem.DRAM(), mem.NVMBandwidth(0.5), []int64{16, 32, 64}[seed%3]*mem.MB)
+		cfg := DefaultConfig(h)
+		cfg.Lookahead = []int{0, 8, 16, 32}[seed%4]
+		pb, err := NewPlannerBench(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := pb.r
+		rng := rand.New(rand.NewSource(seed))
+		n := len(g.Tasks)
+		for round := 0; round < 4; round++ {
+			for k := 0; k < 8; k++ {
+				from := int(r.frontier()) + 1
+				if from >= n {
+					break
+				}
+				id := from + rng.Intn(n-from)
+				run := 1 + rng.Intn(4)
+				if k == 0 {
+					run = 80 // longer than the shortest horizon (64)
+				}
+				for j := id; j < min(id+run, n); j++ {
+					if !r.started[j] {
+						r.markStarted(g.Tasks[j])
+					}
+				}
+			}
+			future := r.futureTasks()
+			got := r.computeLocalPlan(future)
+			ref := r.refComputeLocalPlan(future)
+			where := fmt.Sprintf("seed %d round %d", seed, round)
+			if math.Float64bits(got.predicted) != math.Float64bits(ref.predicted) {
+				t.Errorf("%s: predicted %v != ref %v", where, got.predicted, ref.predicted)
+			}
+			if math.Float64bits(got.solverSec) != math.Float64bits(ref.solverSec) {
+				t.Errorf("%s: solverSec %v != ref %v", where, got.solverSec, ref.solverSec)
+			}
+			for id, refSet := range ref.perTask {
+				if optSet := got.perTask[id]; (refSet == nil) != (optSet == nil) ||
+					refSet != nil && !matchesChunkSet(r, refSet, optSet) {
+					t.Errorf("%s: task %d target set differs", where, id)
+					break
+				}
+			}
+			pb.perturb()
+		}
 	}
 }
 

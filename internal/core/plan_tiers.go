@@ -41,6 +41,7 @@ func (r *runner) benefitPerExecTo(kind string, obj task.ObjectID, to mem.Tier) f
 // fastest tier's set mirrored into global for the reactive paths.
 func (r *runner) computeTierPlan(future []*task.Task) planResult {
 	p := r.pt
+	p.fillKindDur(r)
 	nt := r.st.NumTiers()
 	fast := r.st.Fastest()
 

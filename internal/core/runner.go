@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/feedback"
@@ -1157,9 +1158,10 @@ func streak(counts []int, ki int, hit bool, n int) bool {
 	return true
 }
 
-// planAudit, when set (by the equivalence test), receives every freshly
-// computed plan together with the future task list it was computed from,
-// before the winner is chosen or enforced.
+// planAudit, when set, receives every freshly computed plan together
+// with the future task list it was computed from, before the winner is
+// chosen or enforced. Only tests set it, through SetPlanAudit
+// (export_test.go).
 var planAudit func(r *runner, future []*task.Task, got planResult)
 
 // audited hands a freshly computed plan to planAudit, if set.
@@ -1453,7 +1455,9 @@ func (r *runner) enforceLevel(lv int) {
 // submission order and enqueues every dependence-safe migration their
 // local-search targets require, evicting farthest-next-use residents as
 // needed. This is the task-graph-driven early trigger that hides copy
-// time.
+// time. Started tasks past the frontier are skipped through
+// unstartedFrom, so a scan costs the window, not the started run ahead
+// of it.
 func (r *runner) proactiveScan() {
 	if r.plan.perTask == nil {
 		return
@@ -1466,30 +1470,35 @@ func (r *runner) proactiveScan() {
 	windowKeep := p.keep
 	windowKeep.clearAll()
 	wants := p.wants[:0]
-	count := 0
-	for id := r.frontier(); int(id) < len(r.g.Tasks) && count < r.cfg.Lookahead; id++ {
-		if r.started[id] {
-			continue
+	var last planSet // runs of identical targets alias one copy: OR it once
+	id := int(r.frontier())
+	for count := 0; count < r.cfg.Lookahead; count++ {
+		if id = p.unstartedFrom(r.started, id); id >= len(r.g.Tasks) {
+			break
 		}
-		count++
 		target := r.plan.perTask[id]
 		if target == nil {
+			id++
 			continue
 		}
-		windowKeep.orWith(target)
-		t := r.g.Task(id)
+		if len(last) == 0 || &target[0] != &last[0] {
+			windowKeep.orWith(target)
+			last = target
+		}
+		t := r.g.Task(task.TaskID(id))
 		for _, a := range t.Accesses {
 			base := r.st.ChunkBase(a.Obj)
 			for i, ref := range r.st.Refs(a.Obj) {
 				if !target.has(base+i) || r.st.TierAt(base+i) == r.fastTier || r.mig.Busy(ref) || r.promoBlock[base+i] {
 					continue
 				}
-				if !r.safeFor(a.Obj, id) {
+				if !r.safeFor(a.Obj, t.ID) {
 					continue
 				}
-				wants = append(wants, wantPromo{base + i, a.Obj, id})
+				wants = append(wants, wantPromo{base + i, a.Obj, t.ID})
 			}
 		}
+		id++
 	}
 	p.wants = wants
 	seen := p.seen
@@ -1502,6 +1511,27 @@ func (r *runner) proactiveScan() {
 		seen.set(w.ix)
 		r.tryPromote(ref, r.fastTier, windowKeep, w.id)
 	}
+}
+
+// unstartedFrom returns the smallest unstarted task ID >= i, or
+// len(started) if there is none. started[] bits only ever turn on, so a
+// started task's skip pointer stays valid forever; the search follows
+// the pointers with path halving, keeping a scan's cost near its window.
+func (p *plannerState) unstartedFrom(started []bool, i int) int {
+	n := len(started)
+	if p.skip == nil {
+		p.skip = make([]int32, n)
+		for j := range p.skip {
+			p.skip[j] = int32(j + 1)
+		}
+	}
+	for i < n && started[i] {
+		if j := int(p.skip[i]); j < n && started[j] {
+			p.skip[i] = p.skip[j]
+		}
+		i = int(p.skip[i])
+	}
+	return i
 }
 
 // tryPromote attempts one chunk promotion to tier `to`: make room by
@@ -1529,6 +1559,13 @@ func (r *runner) tierBelow(t mem.Tier) mem.Tier {
 	return below
 }
 
+// victim is an eviction candidate: a chunk and its object's next use
+// from the execution frontier.
+type victim struct {
+	ref     heap.ChunkRef
+	nextUse int
+}
+
 // makeRoomOn enqueues demotions of the farthest-next-use residents of
 // tier t not wanted by the current target set until size bytes fit, and
 // reports whether the projected headroom now covers them. Victims demote
@@ -1541,41 +1578,49 @@ func (r *runner) makeRoomOn(t mem.Tier, size int64, keep planSet) bool {
 	if free >= size {
 		return true
 	}
-	type victim struct {
-		ref     heap.ChunkRef
-		nextUse int
-	}
 	var victims []victim
+	if r.pt != nil {
+		victims = r.pt.victims[t][:0]
+	}
+	// A victim's next use is its first unstarted user, so the scan must
+	// originate at the execution frontier. Anchoring it at the
+	// promotion's beneficiary task gave garbage orderings: global
+	// enforcement passes use forTask == -1 (yielding the object's
+	// first-ever, usually finished, user), and far-ahead proactive
+	// promotions skipped every use between the frontier and the
+	// beneficiary. Same origin as the planners.
+	from := r.frontier() - 1
 	for _, o := range r.g.Objects {
-		if r.inUse[o.ID] > 0 || r.mig.BusyObject(o.ID) {
-			continue
-		}
 		base := r.st.ChunkBase(o.ID)
+		next := -1 // the object's checks run at its first chunk on t
 		for i, ref := range r.st.Refs(o.ID) {
-			if r.st.Tier(ref) != t || keep.has(base+i) {
+			if r.st.TierAt(base+i) != t || keep.has(base+i) {
 				continue
 			}
-			// A victim's next use is its first unstarted user, so the scan
-			// must originate at the execution frontier. Anchoring it at the
-			// promotion's beneficiary task gave garbage orderings: global
-			// enforcement passes use forTask == -1 (yielding the object's
-			// first-ever, usually finished, user), and far-ahead proactive
-			// promotions skipped every use between the frontier and the
-			// beneficiary. Same origin as the planners.
-			next := len(r.g.Tasks) + 1
-			if nu, ok := r.g.NextUser(o.ID, r.frontier()-1); ok {
-				next = int(nu)
+			if next < 0 {
+				if r.inUse[o.ID] > 0 || r.mig.BusyObject(o.ID) {
+					break
+				}
+				next = len(r.g.Tasks) + 1
+				if nu, ok := r.g.NextUser(o.ID, from); ok {
+					next = int(nu)
+				}
 			}
 			victims = append(victims, victim{ref, next})
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool {
-		if victims[i].nextUse != victims[j].nextUse {
-			return victims[i].nextUse > victims[j].nextUse
+	slices.SortFunc(victims, func(a, b victim) int {
+		if a.nextUse != b.nextUse {
+			return cmp.Compare(b.nextUse, a.nextUse)
 		}
-		return victims[i].ref.Obj < victims[j].ref.Obj ||
-			(victims[i].ref.Obj == victims[j].ref.Obj && victims[i].ref.Index < victims[j].ref.Index)
+		if a.ref.Obj != b.ref.Obj {
+			return cmp.Compare(a.ref.Obj, b.ref.Obj)
+		}
+		return cmp.Compare(a.ref.Index, b.ref.Index)
 	})
+	if r.pt != nil {
+		r.pt.victims[t] = victims
+	}
 	below := r.tierBelow(t)
 	for _, v := range victims {
 		if free >= size {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/heap"
@@ -173,5 +174,55 @@ func TestFailedPromotionTraced(t *testing.T) {
 	}
 	if s := r.mig.Stats(); s.Migrations != 1 || s.Failed() != 1 {
 		t.Fatalf("engine stats = %+v", s)
+	}
+}
+
+// TestUnstartedFromMatchesLinearScan: the proactive scan's skip pointers
+// answer "the first unstarted task at or after i" exactly as a linear
+// scan over started[] does, whatever order tasks start in — a random
+// permutation, or the scheduler-like order where each start falls a
+// short way past the frontier — and with queries interleaved between
+// the starts, so path halving runs on half-built chains.
+func TestUnstartedFromMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	linear := func(started []bool, i int) int {
+		for i < len(started) && started[i] {
+			i++
+		}
+		return i
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(300) + 1
+		var order []int
+		if trial%2 == 0 {
+			order = rng.Perm(n)
+		} else {
+			// Start each task within a window of 8 past the frontier.
+			pending := make([]int, 0, n)
+			next := 0
+			for len(order) < n {
+				for next < n && len(pending) < 8 {
+					pending = append(pending, next)
+					next++
+				}
+				k := rng.Intn(len(pending))
+				order = append(order, pending[k])
+				pending = append(pending[:k], pending[k+1:]...)
+			}
+		}
+		started := make([]bool, n)
+		p := &plannerState{}
+		for _, id := range order {
+			started[id] = true
+			for q := 0; q < 3; q++ {
+				i := rng.Intn(n + 1)
+				if got, want := p.unstartedFrom(started, i), linear(started, i); got != want {
+					t.Fatalf("trial %d: unstartedFrom(%d) = %d, linear scan %d", trial, i, got, want)
+				}
+			}
+		}
+		if got := p.unstartedFrom(started, 0); got != n {
+			t.Fatalf("trial %d: all %d started, unstartedFrom(0) = %d", trial, n, got)
+		}
 	}
 }

@@ -42,6 +42,21 @@ func Knapsack(items []Item, capacity int64, gran int64) []int {
 	return sc.solve(nil, items, capacity, gran)
 }
 
+// Cells is a size in DP cells of gran bytes, quantized up: the solver's
+// conservative rounding, under which a chosen set always really fits.
+func Cells(size, gran int64) int {
+	return int((size + gran - 1) / gran)
+}
+
+// Admissible reports whether the solver considers an item whose size
+// spans c cells against a capacity of cells: its weight is not <= 0, its
+// size is positive, and it fits at all. When the admissible items' cells
+// sum to at most the capacity, the solver chooses exactly those items —
+// a caller tracking that sum can know the answer without solving.
+func Admissible(weight float64, size int64, c, cells int) bool {
+	return !(weight <= 0) && size > 0 && c <= cells
+}
+
 // knapCand is one filtered DP candidate.
 type knapCand struct {
 	idx   int
@@ -77,11 +92,8 @@ func (sc *knapScratch) solve(dst []int, items []Item, capacity int64, gran int64
 	// Candidate filter: positive weight and fits at all.
 	cands := sc.cands[:0]
 	for i, it := range items {
-		if it.Weight <= 0 || it.Size <= 0 {
-			continue
-		}
-		c := int((it.Size + gran - 1) / gran)
-		if c > cells {
+		c := Cells(it.Size, gran)
+		if !Admissible(it.Weight, it.Size, c, cells) {
 			continue
 		}
 		cands = append(cands, knapCand{idx: i, cells: c, w: it.Weight})

@@ -15,6 +15,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 func postRun(t *testing.T, url, body string) (*http.Response, []byte) {
@@ -82,6 +84,10 @@ func TestHTTPErrors(t *testing.T) {
 		// A fault spec over the event cap is refused at parse time
 		// instead of materializing its events.
 		{`{"workload":"heat","faults":"rate=1e5,seed=1,horizon=1"}`, http.StatusBadRequest},
+		// Worker and lookahead counts past core's bounds are refused
+		// before the runner sizes anything from them.
+		{fmt.Sprintf(`{"workload":"heat","workers":%d}`, core.MaxWorkers+1), http.StatusBadRequest},
+		{fmt.Sprintf(`{"workload":"heat","lookahead":%d}`, core.MaxLookahead+1), http.StatusBadRequest},
 	} {
 		resp, body := postRun(t, ts.URL, tc.body)
 		if resp.StatusCode != tc.want {

@@ -30,9 +30,11 @@ type RunRequest struct {
 	// Machine describes the simulated machine (zero value = the
 	// experiment-default 128 MB DRAM + half-bandwidth NVM).
 	Machine cliutil.MachineSpec `json:"machine"`
-	// Workers is the simulated worker count (0 = 8).
+	// Workers is the simulated worker count (0 = 8, at most
+	// core.MaxWorkers).
 	Workers int `json:"workers,omitempty"`
-	// Lookahead is the proactive-migration lookahead (0 = 16).
+	// Lookahead is the proactive-migration lookahead (0 = 16, at most
+	// core.MaxLookahead).
 	Lookahead int `json:"lookahead,omitempty"`
 	// Faults is a fault-schedule spec, e.g. "rate=1,seed=7,horizon=2"
 	// ("" = none).

@@ -299,6 +299,10 @@ func (s *Server) resolve(j *job) error {
 	if req.Workers < 0 || req.Scale < 0 || req.Lookahead < 0 {
 		return fmt.Errorf("serve: negative workers/scale/lookahead")
 	}
+	if req.Workers > core.MaxWorkers || req.Lookahead > core.MaxLookahead {
+		return fmt.Errorf("serve: workers %d or lookahead %d above the limits (%d, %d)",
+			req.Workers, req.Lookahead, core.MaxWorkers, core.MaxLookahead)
+	}
 	switch {
 	case req.Graph != nil:
 		if req.Workload != "" {
