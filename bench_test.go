@@ -282,40 +282,6 @@ func BenchmarkE13_ClusterScaling(b *testing.B) { benchExperiment(b, "E13") }
 func BenchmarkE14_ModelAccuracy(b *testing.B)  { benchExperiment(b, "E14") }
 func BenchmarkE15_Energy(b *testing.B)         { benchExperiment(b, "E15") }
 
-// BenchmarkLockFreeVsMutexPool compares the two executor deques on a
-// steal-heavy graph.
-func BenchmarkLockFreeVsMutexPool(b *testing.B) {
-	bld := task.NewBuilder("steal")
-	objs := make([]task.ObjectID, 256)
-	for i := range objs {
-		objs[i] = bld.Object("o", 64)
-	}
-	for round := 0; round < 8; round++ {
-		for _, o := range objs {
-			bld.Submit("t", 0, []task.Access{
-				{Obj: o, Mode: task.InOut, Loads: 1, Stores: 1, MLP: 1},
-			}, func() {})
-		}
-	}
-	g := bld.Build()
-	b.Run("mutex", func(b *testing.B) {
-		p := exec.NewPool(8)
-		for i := 0; i < b.N; i++ {
-			if err := p.Run(g); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("lockfree", func(b *testing.B) {
-		p := exec.NewLockFreePool(8)
-		for i := 0; i < b.N; i++ {
-			if err := p.Run(g); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 func BenchmarkE16_ChunkGranularity(b *testing.B) { benchExperiment(b, "E16") }
 func BenchmarkE17_Replay(b *testing.B)           { benchExperiment(b, "E17") }
 

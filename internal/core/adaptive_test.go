@@ -16,17 +16,17 @@ func TestAdaptiveSamplingBoostsAndSaves(t *testing.T) {
 	}
 	sparse := runPolicy(t, tg, h, Tahoe, noisy)
 
-	defer func() { testHook = nil }()
 	var boosted int
-	testHook = func(r *runner) {
+	restore := SetTestHook(func(r *runner) {
 		for _, b := range r.kindBoosted {
 			if b {
 				boosted++
 			}
 		}
-	}
+	})
+	defer restore()
 	adaptive := runPolicy(t, tg, h, Tahoe, noisy, func(c *Config) { c.Prof.Adaptive = true })
-	testHook = nil
+	restore()
 
 	dense := runPolicy(t, tg, h, Tahoe, func(c *Config) { c.Prof.Jitter = 0.4 })
 

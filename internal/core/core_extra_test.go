@@ -105,13 +105,12 @@ func TestChunkingEnablesPartialResidency(t *testing.T) {
 	h := mem.NewHMS(mem.DRAM(), mem.NVMBandwidth(0.5), 96*mem.MB)
 	tg := build(t, "cg")
 
-	defer func() { testHook = nil }()
 	var frac float64
 	var chunks int
-	testHook = func(r *runner) {
-		frac = r.st.DRAMFraction(task.ObjectID(0)) // "A" is object 0
+	defer SetTestHook(func(r *runner) {
+		frac = r.st.TierFraction(task.ObjectID(0), r.st.Fastest()) // "A" is object 0
 		chunks = r.st.Chunks(task.ObjectID(0))
-	}
+	})()
 	runPolicy(t, tg, h, Tahoe)
 	if chunks < 2 {
 		t.Fatalf("matrix not partitioned: %d chunks", chunks)
@@ -147,12 +146,11 @@ func TestHWCacheHitRatioScalesWithDRAM(t *testing.T) {
 // through every policy must complete, respect the DRAM bound ordering,
 // and keep the placement-state invariants.
 func TestRandomGraphsAllPolicies(t *testing.T) {
-	defer func() { testHook = nil }()
-	testHook = func(r *runner) {
+	defer SetTestHook(func(r *runner) {
 		if err := r.st.CheckInvariants(); err != nil {
 			t.Error(err)
 		}
-	}
+	})()
 	for seed := int64(1); seed <= 6; seed++ {
 		g := randomGraph(seed)
 		h := mem.NewHMS(mem.DRAM(), mem.NVMBandwidth(0.5), 32*mem.MB)

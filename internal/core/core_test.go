@@ -172,14 +172,13 @@ func TestRuntimeOverheadSmall(t *testing.T) {
 
 // TestStateInvariantsAfterRun white-boxes the final runner state.
 func TestStateInvariantsAfterRun(t *testing.T) {
-	defer func() { testHook = nil }()
 	var checked int
-	testHook = func(r *runner) {
+	defer SetTestHook(func(r *runner) {
 		if err := r.st.CheckInvariants(); err != nil {
 			t.Error(err)
 		}
-		if r.st.DRAMUsed() > r.cfg.HMS.DRAMCapacity && r.cfg.Policy != DRAMOnly {
-			t.Errorf("DRAM over capacity: %d > %d", r.st.DRAMUsed(), r.cfg.HMS.DRAMCapacity)
+		if r.st.ResidentBytes(r.st.Fastest()) > r.cfg.HMS.DRAMCapacity && r.cfg.Policy != DRAMOnly {
+			t.Errorf("DRAM over capacity: %d > %d", r.st.ResidentBytes(r.st.Fastest()), r.cfg.HMS.DRAMCapacity)
 		}
 		for obj, n := range r.inUse {
 			if n != 0 {
@@ -190,7 +189,7 @@ func TestStateInvariantsAfterRun(t *testing.T) {
 			t.Error("blocked tasks at end of run")
 		}
 		checked++
-	}
+	})()
 	h := pressured()
 	for _, name := range []string{"cholesky", "wave", "fft"} {
 		tg := build(t, name)
@@ -302,12 +301,11 @@ func TestReadWriteDistinctionOnAsymmetricNVM(t *testing.T) {
 	g := b.Build()
 	tg := &taskGraph{name: "rwsplit", g: workloads.Built{Graph: g}}
 
-	defer func() { testHook = nil }()
 	var rdFrac, wrFrac float64
-	testHook = func(r *runner) {
-		rdFrac = r.st.DRAMFraction(readHeavy)
-		wrFrac = r.st.DRAMFraction(writeHeavy)
-	}
+	defer SetTestHook(func(r *runner) {
+		rdFrac = r.st.TierFraction(readHeavy, r.st.Fastest())
+		wrFrac = r.st.TierFraction(writeHeavy, r.st.Fastest())
+	})()
 	runPolicy(t, tg, h, Tahoe)
 	if wrFrac <= rdFrac {
 		t.Fatalf("r/w model kept writeHeavy out of DRAM: rd=%.2f wr=%.2f", rdFrac, wrFrac)

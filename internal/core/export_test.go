@@ -10,3 +10,11 @@ func SetPlanAudit(fn func(r *runner, future []*task.Task, got planResult)) (rest
 	planAudit = fn
 	return func() { planAudit = nil }
 }
+
+// SetTestHook makes every run finishing afterwards pass its final runner
+// state to fn, and returns a function that removes the hook. Not safe to
+// call while runs are in flight.
+func SetTestHook(fn func(r *runner)) (restore func()) {
+	testHook = fn
+	return func() { testHook = nil }
+}

@@ -19,7 +19,7 @@ import (
 //
 // Observation piggybacks on the completion hook the profiler already
 // uses and charges no modeled overhead; corrections enter the planner
-// through benefitPerExec/benefitPerExecTo — the single choke point the
+// through benefitPerExec — the single choke point the
 // incremental planner, the reference planner (plan_ref_test.go) and
 // the N-tier planner all funnel through — so the planAudit bit-identity
 // contract holds with corrections active. An effective-factor change

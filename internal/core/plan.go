@@ -386,13 +386,14 @@ func (p *plannerState) invalidateKindName(kind string) {
 	}
 }
 
-// benefit is the cached benefitPerExec for a (kind, object) pair. Cached
-// values were produced by the same pure computation on the same profiler
-// state, so they are bit-identical to a fresh call.
+// benefit is the cached benefitPerExec for a (kind, object) pair and
+// the fastest tier. Cached values were produced by the same pure
+// computation on the same profiler state, so they are bit-identical to
+// a fresh call.
 func (p *plannerState) benefit(r *runner, k int32, obj task.ObjectID) float64 {
 	ix := int(k)*p.nobj + int(obj)
 	if p.pairGen[ix] != p.kindGen[k] {
-		p.pairB[ix] = r.benefitPerExec(p.kindNames[k], obj)
+		p.pairB[ix] = r.benefitPerExec(p.kindNames[k], obj, r.fastTier)
 		p.pairGen[ix] = p.kindGen[k]
 	}
 	return p.pairB[ix]
@@ -427,19 +428,19 @@ func (p *plannerState) refreshTotals(r *runner) {
 }
 
 // benefitPerExec returns the modeled seconds saved per execution of kind
-// if obj were DRAM-resident instead of NVM-resident, using the sampled
-// profile: classify sensitivity from the equation-(1) bandwidth
-// consumption estimate, then apply the benefit equations. With feedback
-// enabled the result passes through the CorrectedEstimates view — this
-// is the single choke point every planner (incremental, reference,
-// N-tier) funnels through, so corrections reach all of them identically
-// and the planAudit bit-identity contract holds.
-func (r *runner) benefitPerExec(kind string, obj task.ObjectID) float64 {
+// if obj lived on tier `to` instead of the slow default tier 0, using
+// the sampled profile and the equation-(1) bandwidth consumption
+// estimate (model.BenefitProfiled). With feedback enabled the result
+// passes through the CorrectedEstimates view — this is the single choke
+// point every planner (incremental, reference, N-tier) funnels through,
+// so corrections reach all of them identically and the planAudit
+// bit-identity contract holds.
+func (r *runner) benefitPerExec(kind string, obj task.ObjectID, to mem.Tier) float64 {
 	est, ok := r.profiler.EstimateFor(kind, obj, r.g.Object(obj).Size)
 	if !ok {
 		return 0
 	}
-	b := r.params.BenefitProfiled(est.Loads, est.Stores, est.BWCons)
+	b := r.params.BenefitProfiled(est.Loads, est.Stores, est.BWCons, mem.InNVM, to)
 	if r.fb != nil {
 		b = r.fbView.Apply(int(r.pt.kindIx[kind]), obj, b)
 	}
@@ -587,7 +588,7 @@ func (r *runner) globalItems(items []placement.Item, meanSec float64) []placemen
 			size := p.chunkSize[base+i]
 			cost := 0.0
 			if r.st.TierAt(base+i) != r.fastTier {
-				cost = r.params.MigrationCost(size, overlap)
+				cost = r.params.MigrationCost(size, overlap, mem.InNVM, r.fastTier)
 			}
 			items = append(items, placement.Item{Ref: ref, Size: size, Weight: per - cost})
 		}
@@ -844,7 +845,7 @@ func (w *localWalk) overlap(obj task.ObjectID, t task.TaskID) float64 {
 // residents.
 func (w *localWalk) newcomer(each float64, size int64, overlap float64) float64 {
 	wt := each
-	wt -= w.r.params.MigrationCost(size, overlap)
+	wt -= w.r.params.MigrationCost(size, overlap, mem.InNVM, w.r.fastTier)
 	if w.bytes+size > w.capacity {
 		wt -= float64(size) / w.r.cfg.HMS.CopyBW
 	}
@@ -1101,7 +1102,7 @@ func (r *runner) computeLevelPlan(future []*task.Task) planResult {
 				size := p.chunkSize[base+i]
 				w := each
 				if !resident.has(base + i) {
-					w -= r.params.MigrationCost(size, 0)
+					w -= r.params.MigrationCost(size, 0, mem.InNVM, r.fastTier)
 				}
 				cand = append(cand, placement.Item{Ref: ref, Size: size, Weight: w})
 			}

@@ -53,7 +53,7 @@ func (r *runner) refObjBenefitTotals(future []*task.Task) map[task.ObjectID]floa
 			k := benefitKey{t.Kind, a.Obj}
 			b, ok := cache[k]
 			if !ok {
-				b = r.benefitPerExec(t.Kind, a.Obj)
+				b = r.benefitPerExec(t.Kind, a.Obj, r.fastTier)
 				cache[k] = b
 			}
 			totals[a.Obj] += b
@@ -72,7 +72,7 @@ func (r *runner) refEstTaskSec(t *task.Task, target chunkSet) float64 {
 	}
 	for _, a := range t.Accesses {
 		if r.refTargetFraction(a.Obj, target) == 1 {
-			dur -= r.benefitPerExec(t.Kind, a.Obj)
+			dur -= r.benefitPerExec(t.Kind, a.Obj, r.fastTier)
 		}
 	}
 	if dur < 0 {
@@ -126,7 +126,7 @@ func (r *runner) refComputeGlobalPlan(future []*task.Task) refPlanResult {
 				if nu, ok := r.g.NextUser(o.ID, r.frontier()-1); ok {
 					firstUse = nu
 				}
-				cost = r.params.MigrationCost(size, r.overlapSec(r.frontier()-1, firstUse))
+				cost = r.params.MigrationCost(size, r.overlapSec(r.frontier()-1, firstUse), mem.InNVM, r.fastTier)
 			}
 			items = append(items, placement.Item{
 				Ref:    ref,
@@ -244,7 +244,7 @@ func (r *runner) refComputeLocalPlan(future []*task.Task) refPlanResult {
 					if pu2, ok := r.g.PrevUser(obj, t.ID); ok {
 						from = pu2
 					}
-					w -= r.params.MigrationCost(size, r.overlapSec(from, t.ID))
+					w -= r.params.MigrationCost(size, r.overlapSec(from, t.ID), mem.InNVM, r.fastTier)
 					if residentBytes+size > capacity {
 						// Paper's extra_COST: demote just enough.
 						w -= float64(size) / r.cfg.HMS.CopyBW
@@ -307,7 +307,7 @@ func (r *runner) refComputeLevelPlan(future []*task.Task) refPlanResult {
 		agg := make(map[task.ObjectID]float64)
 		for _, t := range tasks {
 			for _, a := range t.Accesses {
-				agg[a.Obj] += r.benefitPerExec(t.Kind, a.Obj)
+				agg[a.Obj] += r.benefitPerExec(t.Kind, a.Obj, r.fastTier)
 			}
 		}
 		// Deterministic candidate order (the one deviation from the
@@ -330,7 +330,7 @@ func (r *runner) refComputeLevelPlan(future []*task.Task) refPlanResult {
 				size := r.st.ChunkSize(ref)
 				w := each
 				if !resident[ref] {
-					w -= r.params.MigrationCost(size, 0)
+					w -= r.params.MigrationCost(size, 0, mem.InNVM, r.fastTier)
 				}
 				cand = append(cand, placement.Item{Ref: ref, Size: size, Weight: w})
 			}

@@ -8,33 +8,17 @@ import (
 
 // This file is the planner's N-tier extension, used only on machines
 // with more than two tiers (r.st.NumTiers() > 2). Two-tier machines
-// never enter these paths — their planning stays bit-identical to the
-// legacy global/local searches in plan.go.
+// never enter these paths — they plan with the global/local searches in
+// plan.go.
 //
 // The tier plan generalizes the global search: one multiple-choice
 // knapsack (placement.AssignTiers) assigns every chunk a tier, weighing
 // tier t by the object's remaining profiled benefit of living on t
-// rather than on the slow default tier 0 (model.BenefitProfiledBetween),
-// minus the one-time migration cost from the chunk's current tier
-// (model.MigrationCostBetween). The fastest tier's winners double as the
+// rather than on the slow default tier 0 (benefitPerExec), minus the
+// one-time migration cost from the chunk's current tier
+// (model.MigrationCost). The fastest tier's winners double as the
 // reactive target set (plan.global), so dispatch-time promotion and the
 // per-task request path work unchanged.
-
-// benefitPerExecTo is benefitPerExec generalized to an arbitrary
-// destination tier: the modeled seconds saved per execution of kind if
-// obj lived on tier `to` instead of tier 0. For to == Fastest() it
-// computes the same expression as benefitPerExec.
-func (r *runner) benefitPerExecTo(kind string, obj task.ObjectID, to mem.Tier) float64 {
-	est, ok := r.profiler.EstimateFor(kind, obj, r.g.Object(obj).Size)
-	if !ok {
-		return 0
-	}
-	b := r.params.BenefitProfiledBetween(est.Loads, est.Stores, est.BWCons, 0, to)
-	if r.fb != nil {
-		b = r.fbView.Apply(int(r.pt.kindIx[kind]), obj, b)
-	}
-	return b
-}
 
 // computeTierPlan runs the whole-graph search over N tiers and returns a
 // plan of kind "tier": per-chunk tier assignments in tierTo, with the
@@ -56,7 +40,7 @@ func (r *runner) computeTierPlan(future []*task.Task) planResult {
 		}
 		b := make([]float64, nt)
 		for t := 1; t < nt; t++ {
-			b[t] = r.benefitPerExecTo(p.kindNames[k], obj, mem.Tier(t))
+			b[t] = r.benefitPerExec(p.kindNames[k], obj, mem.Tier(t))
 		}
 		pair[ix] = b
 		return b
@@ -104,7 +88,7 @@ func (r *runner) computeTierPlan(future []*task.Task) planResult {
 				per := tot[t] / float64(len(refs))
 				cost := 0.0
 				if cur != mem.Tier(t) {
-					cost = r.params.MigrationCostBetween(size, overlap, cur, mem.Tier(t))
+					cost = r.params.MigrationCost(size, overlap, cur, mem.Tier(t))
 				}
 				w[t] = per - cost
 			}

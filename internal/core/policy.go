@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/heap"
+	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/placement"
 	"repro/internal/task"
@@ -102,22 +103,16 @@ func (r *runner) applyInitialPlacement() error {
 }
 
 // placeIfFits promotes an object's chunks while they fit, free of charge.
-// On machines with more than two tiers a chunk that misses the fastest
-// tier falls to the next one down instead of staying on the slow default
-// tier; two-tier machines keep the exact legacy fastest-or-nothing rule.
+// A chunk that misses the fastest tier falls to the next one down
+// instead of staying on the slow default tier (on two tiers there is no
+// tier in between, so it stays).
 func (r *runner) placeIfFits(obj task.ObjectID) {
-	nt := r.st.NumTiers()
+	fast := r.st.Fastest()
 	for _, ref := range r.st.Refs(obj) {
-		if r.st.CanPromote(ref) {
-			_ = r.st.Move(ref, r.st.Fastest())
-			continue
-		}
-		if nt > 2 {
-			for t := r.st.Fastest() - 1; t >= 1; t-- {
-				if r.st.CanMoveTo(ref, t) {
-					_ = r.st.Move(ref, t)
-					break
-				}
+		for t := fast; t >= 1; t-- {
+			if r.st.CanMoveTo(ref, t) {
+				_ = r.st.Move(ref, t)
+				break
 			}
 		}
 	}
@@ -135,15 +130,17 @@ func (r *runner) placeXMem() error {
 		if !ok {
 			continue
 		}
-		// Offline profiling classifies the aggregate pattern; the oracle
-		// uses the true per-access character via the MLP-weighted mean.
+		// Offline profiling classifies the aggregate pattern as bandwidth-
+		// or latency-sensitive and prices that side; the oracle uses the
+		// true per-access character via the MLP-weighted mean.
 		loads, stores := float64(agg.Loads), float64(agg.Stores)
 		lat, bw := model.AccessTime(loads, stores, agg.MLP, r.cfg.HMS.NVM)
-		sens := model.BandwidthSensitive
+		var w float64
 		if lat > bw {
-			sens = model.LatencySensitive
+			w = params.BenefitLat(loads, stores, mem.InNVM, r.fastTier)
+		} else {
+			w = params.BenefitBW(loads, stores, mem.InNVM, r.fastTier)
 		}
-		w := params.Benefit(loads, stores, sens)
 		items = append(items, placement.Item{
 			Ref:    heap.ChunkRef{Obj: o.ID},
 			Size:   o.Size,

@@ -89,7 +89,8 @@ func (r Result) OverheadFraction() float64 {
 	return r.RuntimeOverheadSec / r.Time
 }
 
-// testHook, when set by tests, inspects the runner's final state.
+// testHook, when set (tests set it through SetTestHook), inspects the
+// runner's final state.
 var testHook func(*runner)
 
 // blockedTask is a ready task waiting for in-flight migrations.
@@ -526,7 +527,7 @@ func (r *runner) dramFrac(obj task.ObjectID) float64 {
 	case HWCache:
 		return r.hwFrac
 	default:
-		return r.st.DRAMFraction(obj)
+		return r.st.TierFraction(obj, r.fastTier)
 	}
 }
 
@@ -698,7 +699,7 @@ func (r *runner) migBusy(t *task.Task) bool {
 // start launches task t on worker w as a simulation flow.
 func (r *runner) start(now float64, w int, t *task.Task) {
 	ki := r.markStarted(t)
-	if hw := r.st.DRAMUsed(); hw > r.highWater {
+	if hw := r.st.ResidentBytes(r.fastTier); hw > r.highWater {
 		r.highWater = hw
 	}
 

@@ -75,23 +75,22 @@ func TestTieredTwoTierBitIdentical(t *testing.T) {
 func TestThreeTierTahoe(t *testing.T) {
 	seeds := []int64{2, 5, 8}
 	var planKinds []string
-	defer func() { testHook = nil }()
 	for _, seed := range seeds {
 		g := equivGraph(seed)
 
 		with := DefaultConfig(mem.DRAMCXLNVM(16*mem.MB, 64*mem.MB))
 		with.Workers = 4
-		testHook = func(r *runner) {
+		restore := SetTestHook(func(r *runner) {
 			planKinds = append(planKinds, r.plan.kind)
 			if r.st.NumTiers() != 3 {
 				t.Errorf("seed %d: runner saw %d tiers", seed, r.st.NumTiers())
 			}
-		}
+		})
 		rw, err := Run(g, with)
+		restore()
 		if err != nil {
 			t.Fatalf("seed %d 3-tier: %v", seed, err)
 		}
-		testHook = nil
 
 		without := DefaultConfig(mem.NewHMS(mem.DRAM(), mem.OptanePM(), 16*mem.MB))
 		without.Workers = 4

@@ -142,14 +142,14 @@ func newTestState(t *testing.T, chunks map[task.ObjectID]int) *State {
 func TestStateInitialPlacementIsNVM(t *testing.T) {
 	s := newTestState(t, nil)
 	for id := task.ObjectID(0); id < 3; id++ {
-		if s.InDRAM(id) {
+		if s.TierFraction(id, s.Fastest()) == 1 {
 			t.Fatalf("object %d started in DRAM", id)
 		}
-		if s.DRAMFraction(id) != 0 {
-			t.Fatalf("object %d has DRAM fraction %g", id, s.DRAMFraction(id))
+		if s.TierFraction(id, s.Fastest()) != 0 {
+			t.Fatalf("object %d has DRAM fraction %g", id, s.TierFraction(id, s.Fastest()))
 		}
 	}
-	if s.DRAMUsed() != 0 {
+	if s.ResidentBytes(s.Fastest()) != 0 {
 		t.Fatal("DRAM used before any promotion")
 	}
 	if err := s.CheckInvariants(); err != nil {
@@ -160,20 +160,20 @@ func TestStateInitialPlacementIsNVM(t *testing.T) {
 func TestStatePromoteDemote(t *testing.T) {
 	s := newTestState(t, nil)
 	ref := ChunkRef{Obj: 0}
-	if !s.CanPromote(ref) {
+	if !s.CanMoveTo(ref, s.Fastest()) {
 		t.Fatal("64MB should fit in 128MB DRAM")
 	}
 	if err := s.Move(ref, mem.InDRAM); err != nil {
 		t.Fatal(err)
 	}
-	if !s.InDRAM(0) || s.DRAMFraction(0) != 1 {
+	if s.TierFraction(0, s.Fastest()) != 1 {
 		t.Fatal("object 0 not fully promoted")
 	}
-	if s.DRAMUsed() != 64*mem.MB {
-		t.Fatalf("DRAM used = %d", s.DRAMUsed())
+	if s.ResidentBytes(s.Fastest()) != 64*mem.MB {
+		t.Fatalf("DRAM used = %d", s.ResidentBytes(s.Fastest()))
 	}
 	// 100 MB object B cannot fit alongside.
-	if s.CanPromote(ChunkRef{Obj: 1}) {
+	if s.CanMoveTo(ChunkRef{Obj: 1}, s.Fastest()) {
 		t.Fatal("B should not fit")
 	}
 	if err := s.Move(ChunkRef{Obj: 1}, mem.InDRAM); err == nil {
@@ -197,11 +197,11 @@ func TestStateMoveIsIdempotent(t *testing.T) {
 	if err := s.Move(ref, mem.InDRAM); err != nil {
 		t.Fatal(err)
 	}
-	used := s.DRAMUsed()
+	used := s.ResidentBytes(s.Fastest())
 	if err := s.Move(ref, mem.InDRAM); err != nil {
 		t.Fatal(err)
 	}
-	if s.DRAMUsed() != used {
+	if s.ResidentBytes(s.Fastest()) != used {
 		t.Fatal("no-op move changed accounting")
 	}
 }
@@ -221,10 +221,10 @@ func TestStateChunking(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.DRAMFraction(0); got != 0.5 {
+	if got := s.TierFraction(0, s.Fastest()); got != 0.5 {
 		t.Fatalf("DRAM fraction = %g, want 0.5", got)
 	}
-	if s.InDRAM(0) {
+	if s.TierFraction(0, s.Fastest()) == 1 {
 		t.Fatal("half-resident object reported fully in DRAM")
 	}
 	if err := s.CheckInvariants(); err != nil {
@@ -341,8 +341,8 @@ func TestFragmentationImmunity(t *testing.T) {
 	}
 	// Now free space = 64 MB as one 64 MB region minus interleaving: the
 	// big object must come back regardless of layout.
-	if !s.CanPromote(ChunkRef{Obj: 16}) {
-		t.Fatal("CanPromote refused despite sufficient capacity")
+	if !s.CanMoveTo(ChunkRef{Obj: 16}, s.Fastest()) {
+		t.Fatal("CanMoveTo refused despite sufficient capacity")
 	}
 	if err := s.Move(ChunkRef{Obj: 16}, mem.InDRAM); err != nil {
 		t.Fatalf("fragmented promotion failed: %v", err)
@@ -377,7 +377,7 @@ func TestFragmentedMoveRandomized(t *testing.T) {
 				to = mem.InNVM
 			}
 			fits := to == mem.InNVM || s.Tier(ref) == mem.InDRAM ||
-				s.DRAMAvail() >= s.ChunkSize(ref)
+				s.TierAvail(s.Fastest()) >= s.ChunkSize(ref)
 			err := s.Move(ref, to)
 			if fits && err != nil {
 				return false // layout failure: forbidden

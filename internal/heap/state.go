@@ -49,10 +49,9 @@ type State struct {
 	pieces    [][]alloc // physical pieces backing each chunk
 
 	// Per-object tables. objOn is nobj x nt: bytes of the object's
-	// chunks resident on each tier. objSum is the chunk-size sum (it can
-	// exceed objSize for degenerate splits of tiny objects).
+	// chunks resident on each tier (their sum can exceed objSize for
+	// degenerate splits of tiny objects).
 	objSize []int64
-	objSum  []int64
 	objOn   []int64
 
 	// Chunk index: the partitioning is fixed at NewState, so every chunk
@@ -97,7 +96,6 @@ func NewState(hms mem.HMS, objects []*task.Object, chunksFor map[task.ObjectID]i
 		resident: make([]int64, nt),
 		nt:       nt,
 		objSize:  make([]int64, len(objects)),
-		objSum:   make([]int64, len(objects)),
 		objOn:    make([]int64, len(objects)*nt),
 	}
 	for t := range s.tiers {
@@ -164,7 +162,6 @@ func NewState(hms mem.HMS, objects []*task.Object, chunksFor map[task.ObjectID]i
 			s.chunkTier[j] = mem.InNVM
 			s.pieces[j] = arena[mark:len(arena):len(arena)]
 			s.resident[mem.InNVM] += sz
-			s.objSum[o.ID] += sz
 			s.objOn[int(o.ID)*nt+int(mem.InNVM)] += sz
 		}
 		s.refs[o.ID] = s.refsFlat[lo:hi:hi]
@@ -218,41 +215,21 @@ func (s *State) NumTiers() int { return s.nt }
 // Fastest returns the fastest tier's id (InDRAM on two-tier machines).
 func (s *State) Fastest() mem.Tier { return mem.Tier(s.nt - 1) }
 
-// DRAMFraction returns the fraction of the object's bytes resident on
-// the fastest tier. The timing model splits an object's traffic between
-// the tiers in this proportion, which assumes accesses are uniform over
-// the object — the same assumption the paper's chunk profiling refines.
-func (s *State) DRAMFraction(obj task.ObjectID) float64 {
-	return s.TierFraction(obj, s.Fastest())
-}
-
 // TierFraction returns the fraction of the object's bytes resident on
-// tier t, from the O(1) per-(object, tier) accumulator.
+// tier t, from the O(1) per-(object, tier) accumulator. The timing model
+// splits an object's traffic between the tiers in these proportions,
+// which assumes accesses are uniform over the object — the same
+// assumption the paper's chunk profiling refines.
 func (s *State) TierFraction(obj task.ObjectID, t mem.Tier) float64 {
 	return float64(s.objOn[int(obj)*s.nt+int(t)]) / float64(s.objSize[obj])
 }
 
-// InDRAM reports whether the whole object is resident on the fastest
-// tier.
-func (s *State) InDRAM(obj task.ObjectID) bool {
-	return s.objOn[int(obj)*s.nt+s.nt-1] == s.objSum[obj]
-}
-
-// DRAMUsed and DRAMAvail expose the fastest tier's accounting.
-func (s *State) DRAMUsed() int64  { return s.tiers[s.Fastest()].Used() }
-func (s *State) DRAMAvail() int64 { return s.tiers[s.Fastest()].Avail() }
-
 // TierAvail exposes any tier's free bytes.
 func (s *State) TierAvail(t mem.Tier) int64 { return s.tiers[t].Avail() }
 
-// CanPromote reports whether the chunk would fit on the fastest tier
-// right now. Allocation is fragmented (paged), so available bytes
-// suffice.
-func (s *State) CanPromote(ref ChunkRef) bool {
-	return s.CanMoveTo(ref, s.Fastest())
-}
-
-// CanMoveTo reports whether the chunk would fit on tier `to` right now.
+// CanMoveTo reports whether the chunk would fit on tier `to` right now
+// (or already lives there). Allocation is fragmented (paged), so
+// available bytes suffice.
 func (s *State) CanMoveTo(ref ChunkRef, to mem.Tier) bool {
 	ix := s.base[ref.Obj] + ref.Index
 	return s.chunkTier[ix] == to || s.tiers[to].Avail() >= s.chunkSize[ix]
@@ -402,9 +379,6 @@ func (s *State) CheckInvariants() error {
 		}
 		if sum < s.objSize[obj] {
 			return fmt.Errorf("heap: object %d chunks cover %d of %d bytes", obj, sum, s.objSize[obj])
-		}
-		if sum != s.objSum[obj] {
-			return fmt.Errorf("heap: object %d chunk sum %d != accumulator %d", obj, sum, s.objSum[obj])
 		}
 		for t := 0; t < s.nt; t++ {
 			if on[t] != s.objOn[obj*s.nt+t] {

@@ -134,11 +134,9 @@ func (r *refState) verify(s *State) error {
 			return fmt.Errorf("object %d chunk count %d != %d",
 				obj, len(o.chunks), s.base[obj+1]-s.base[obj])
 		}
-		var sum int64
 		for i := range o.chunks {
 			c := &o.chunks[i]
 			ix := s.base[obj] + i
-			sum += c.size
 			if c.size != s.chunkSize[ix] {
 				return fmt.Errorf("chunk %d size %d != %d", ix, c.size, s.chunkSize[ix])
 			}
@@ -153,9 +151,6 @@ func (r *refState) verify(s *State) error {
 					return fmt.Errorf("chunk %d piece %d %+v != %+v", ix, p, a, s.pieces[ix][p])
 				}
 			}
-		}
-		if sum != s.objSum[obj] {
-			return fmt.Errorf("object %d chunk sum %d != %d", obj, sum, s.objSum[obj])
 		}
 		for t := 0; t < s.nt; t++ {
 			var want int64

@@ -17,8 +17,8 @@ const (
 )
 
 // String returns "NVM" and "DRAM" for the two classic tiers, and "T<n>"
-// for tiers beyond them (an HMS-aware display name, which knows the
-// configured device, is HMS.TierName).
+// for tiers beyond them (HMS.Device(t).Name names the configured
+// device).
 func (t Tier) String() string {
 	switch t {
 	case InNVM:
@@ -27,14 +27,6 @@ func (t Tier) String() string {
 		return "DRAM"
 	}
 	return fmt.Sprintf("T%d", int(t))
-}
-
-// Other returns the opposite tier of the classic two-tier pair.
-func (t Tier) Other() Tier {
-	if t == InDRAM {
-		return InNVM
-	}
-	return InDRAM
 }
 
 // MaxTiers bounds how many tiers an HMS may have. The timing model's
@@ -53,8 +45,8 @@ type TierSpec struct {
 // two-device DRAM+NVM pair below; setting Tiers generalizes it to an
 // ordered list of N tiers (slowest first, fastest last), each with its
 // own device spec and capacity. When Tiers is set, the legacy DRAM/NVM
-// fields mirror the fastest and slowest tiers so that code consuming the
-// two-tier view keeps working.
+// fields mirror the fastest and slowest tiers (Validate checks it) so
+// that code consuming the two-tier view keeps working.
 type HMS struct {
 	DRAM DeviceSpec
 	NVM  DeviceSpec
@@ -66,8 +58,9 @@ type HMS struct {
 	// CopyBW is the sustained bandwidth, in bytes/second, of the helper
 	// thread's DRAM<->NVM memcpy. It is limited by the slower of the two
 	// devices on the relevant direction. With N > 2 tiers it is the
-	// bandwidth of the full promotion path (tier 0 -> fastest);
-	// CopyBWBetween derives per-pair bandwidths from it.
+	// bandwidth of the full promotion path (tier 0 -> fastest) and sets
+	// the migration engine's copy-channel rate; CopyBWBetween derives
+	// each pair's bandwidth from the pair's device specs, not from it.
 	CopyBW float64
 	// Tiers, when non-nil, lists the machine's tiers slowest to fastest.
 	// nil means the classic two-tier DRAM+NVM machine. A two-element
@@ -111,15 +104,6 @@ func (h HMS) Capacity(t Tier) int64 {
 	return h.NVMCapacity
 }
 
-// TierName returns a display name for a tier: the configured device name
-// for N-tier machines, or the classic "DRAM"/"NVM" labels.
-func (h HMS) TierName(t Tier) string {
-	if h.Tiers != nil {
-		return h.Tiers[t].Device.Name
-	}
-	return t.String()
-}
-
 // CopyBWBetween returns the sustained migration bandwidth from tier
 // `from` to tier `to`, in bytes/second. The classic two-tier machine has
 // a single configured copy channel, CopyBW, charged on both directions;
@@ -130,7 +114,10 @@ func (h HMS) CopyBWBetween(from, to Tier) float64 {
 	if h.NumTiers() == 2 {
 		return h.CopyBW
 	}
-	return DefaultCopyBW(h.Device(to), h.Device(from))
+	// Tiers is indexed directly (not through Device) so this stays
+	// inlinable: model.MigrationCost calls it once per candidate chunk
+	// in the planner's local walk.
+	return DefaultCopyBW(h.Tiers[to].Device, h.Tiers[from].Device)
 }
 
 // Validate reports an error for non-physical configurations.
@@ -165,6 +152,15 @@ func (h HMS) Validate() error {
 			} else if ts.Capacity < 0 {
 				return fmt.Errorf("mem: negative tier-%d capacity %d", i, ts.Capacity)
 			}
+		}
+		// The legacy two-device fields must mirror the end tiers, as
+		// NewTieredHMS sets them, so that code reading the two-device
+		// view (knapsack capacity, access times, calibration) sees the
+		// machine the tier-pair calls (Device, Capacity) see.
+		slow, fast := h.Tiers[0], h.Tiers[len(h.Tiers)-1]
+		if h.NVM != slow.Device || h.DRAM != fast.Device ||
+			h.NVMCapacity != slow.Capacity || h.DRAMCapacity != fast.Capacity {
+			return fmt.Errorf("mem: DRAM/NVM fields do not mirror the fastest/slowest tiers")
 		}
 	}
 	return nil

@@ -61,9 +61,6 @@ func TestTier(t *testing.T) {
 	if InDRAM.String() != "DRAM" || InNVM.String() != "NVM" {
 		t.Fatal("tier names wrong")
 	}
-	if InDRAM.Other() != InNVM || InNVM.Other() != InDRAM {
-		t.Fatal("Other() wrong")
-	}
 }
 
 func TestHMSValidateAndAccessors(t *testing.T) {

@@ -55,8 +55,8 @@ func TestDRAMCXLNVM(t *testing.T) {
 	if h.NumTiers() != 3 || h.Fastest() != Tier(2) {
 		t.Fatalf("NumTiers=%d Fastest=%v", h.NumTiers(), h.Fastest())
 	}
-	if h.TierName(0) != "OptanePM" || h.TierName(1) != "CXL" || h.TierName(2) != "DRAM" {
-		t.Errorf("tier names %q/%q/%q", h.TierName(0), h.TierName(1), h.TierName(2))
+	if h.Device(0).Name != "OptanePM" || h.Device(1).Name != "CXL" || h.Device(2).Name != "DRAM" {
+		t.Errorf("tier names %q/%q/%q", h.Device(0).Name, h.Device(1).Name, h.Device(2).Name)
 	}
 	if h.Capacity(2) != 64*MB || h.Capacity(1) != 256*MB {
 		t.Errorf("capacities %d/%d", h.Capacity(2), h.Capacity(1))
@@ -114,6 +114,31 @@ func TestTieredValidateBounds(t *testing.T) {
 	zeroMid.Tiers[1].Capacity = 0
 	if err := zeroMid.Validate(); err != nil {
 		t.Errorf("zero middle-tier capacity rejected: %v", err)
+	}
+}
+
+// A tiered HMS whose legacy two-device fields do not mirror its end
+// tiers is rejected: the model and the two-tier views read those fields.
+func TestTieredValidateRejectsStaleMirror(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		stale func(h *HMS)
+	}{
+		{"DRAM", func(h *HMS) { h.DRAM = CXL() }},
+		{"NVM", func(h *HMS) { h.NVM = PCRAM() }},
+		{"DRAMCapacity", func(h *HMS) { h.DRAMCapacity = 1 << 40 }},
+		{"NVMCapacity", func(h *HMS) { h.NVMCapacity = GB }},
+	} {
+		h := DRAMCXLNVM(64*MB, 128*MB)
+		tc.stale(&h)
+		if err := h.Validate(); err == nil {
+			t.Errorf("stale %s mirror validated; want error", tc.name)
+		}
+	}
+	two := NewTieredHMS(TierSpec{Device: OptanePM(), Capacity: 1 << 44}, TierSpec{Device: DRAM(), Capacity: 64 * MB})
+	two.DRAMCapacity = 128 * MB
+	if err := two.Validate(); err == nil {
+		t.Error("two-tier list with a stale DRAMCapacity validated; want error")
 	}
 }
 

@@ -32,11 +32,10 @@
 // paper feature it reconstructs and its truth-side counterpart.
 //
 // Both layers are tier-general: demand accumulators are per-tier arrays
-// (TaskDemandTiered splits traffic over any number of tiers), and
-// tiers.go evaluates the benefit and migration-cost equations over
-// arbitrary tier pairs — the *Between functions and the TierCosts
-// matrices. Their contract: the classic pair (from=InNVM, to=InDRAM)
-// computes bit-identically to the legacy two-tier functions.
+// (TaskDemandTiered splits traffic over any number of tiers), and every
+// benefit and migration-cost equation takes the tier pair (from, to) it
+// prices; the paper's NVM-to-DRAM promotion is (mem.InNVM, the fastest
+// tier).
 package model
 
 import (

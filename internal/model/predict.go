@@ -33,7 +33,7 @@ import "repro/internal/mem"
 // zero, matching the runner's tierFrac view. distinguishRW selects the
 // split read/write equations (4)/(5) over the combined (2)/(3), exactly
 // as the planner's benefit side does.
-func (p Params) PredictAccessSec(loads, stores, mlp float64, distinguishRW bool, shares [mem.MaxTiers]float64) float64 {
+func (p *Params) PredictAccessSec(loads, stores, mlp float64, distinguishRW bool, shares [mem.MaxTiers]float64) float64 {
 	if mlp < 1 {
 		mlp = 1
 	}

@@ -2,6 +2,7 @@ package task
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -30,8 +31,8 @@ type Graph struct {
 
 	// validated latches a successful Validate. The graph is immutable
 	// once built, so the structural checks cannot change answer; every
-	// run re-validates its input graph, and without the latch the check's
-	// succSeen map dominated small-run allocation profiles.
+	// run re-validates its input graph, and the latch makes the repeats
+	// free.
 	validated atomic.Bool
 }
 
@@ -229,7 +230,6 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("task: object %q has size %d", o.Name, o.Size)
 		}
 	}
-	succSeen := make(map[[2]TaskID]bool)
 	for i, t := range g.Tasks {
 		if t.ID != TaskID(i) {
 			return fmt.Errorf("task: task %d has ID %d", i, t.ID)
@@ -253,16 +253,19 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("task %d: dependence on %d violates submission order", t.ID, d)
 			}
 		}
+		// Successors are appended in submission order, so each list is
+		// strictly ascending and the edge check below can binary-search.
+		prev := t.ID
 		for _, s := range t.succs {
-			if s <= t.ID || int(s) >= len(g.Tasks) {
+			if s <= prev || int(s) >= len(g.Tasks) {
 				return fmt.Errorf("task %d: successor %d out of order", t.ID, s)
 			}
-			succSeen[[2]TaskID{t.ID, s}] = true
+			prev = s
 		}
 	}
 	for _, t := range g.Tasks {
 		for _, d := range t.deps {
-			if !succSeen[[2]TaskID{d, t.ID}] {
+			if _, ok := slices.BinarySearch(g.Tasks[d].succs, t.ID); !ok {
 				return fmt.Errorf("task %d: dep %d lacks matching successor edge", t.ID, d)
 			}
 		}

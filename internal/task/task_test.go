@@ -2,6 +2,7 @@ package task
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -33,6 +34,34 @@ func TestRAWDependence(t *testing.T) {
 	}
 	if s := g.Task(0).Succs(); len(s) != 1 || s[0] != 1 {
 		t.Fatalf("task 0 succs = %v, want [1]", s)
+	}
+}
+
+// Validate must reject a graph whose successor lists disagree with the
+// dependence lists: a dependence without its successor edge, and a
+// successor list out of submission order.
+func TestValidateRejectsBrokenSuccessorEdges(t *testing.T) {
+	build := func() *Graph {
+		b := NewBuilder("edges")
+		a := b.Object("A", 64)
+		b.Submit("w", 1, []Access{{Obj: a, Mode: Out, Stores: 1, MLP: 1}}, nil)
+		b.Submit("r", 1, []Access{{Obj: a, Mode: In, Loads: 1, MLP: 1}}, nil)
+		b.Submit("r", 1, []Access{{Obj: a, Mode: In, Loads: 1, MLP: 1}}, nil)
+		return b.Build()
+	}
+	g := build()
+	if s := g.Task(0).succs; len(s) != 2 {
+		t.Fatalf("task 0 succs = %v, want two readers", s)
+	}
+	g.Task(0).succs = g.Task(0).succs[:1] // drop the edge 0 -> 2
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "lacks matching successor edge") {
+		t.Fatalf("dropped successor edge: err = %v", err)
+	}
+	g = build()
+	s := g.Task(0).succs
+	s[0], s[1] = s[1], s[0]
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "out of order") {
+		t.Fatalf("descending successor list: err = %v", err)
 	}
 }
 
